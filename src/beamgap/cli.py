@@ -49,7 +49,7 @@ from .oracles import (
     inequality_battery,
     solve_beam_oracle,
 )
-from .solver import solve_potential
+from .solver import solve_potential  # noqa: F401  # bound here for benchmark/tracing.py
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "build_model", "main"]
 
@@ -105,8 +105,9 @@ def _check_keys(section: str, block: dict, allowed: set[str]) -> None:
 def load_config(path: str | os.PathLike | None) -> dict:
     """Read and validate a config, merging it over the defaults.
 
-    Unknown keys at any level raise ConfigError, as do physically invalid
-    values (delegated to the module constructors via a dry model build).
+    Unknown keys at any level raise ConfigError, as do grid sizes the
+    discretization cannot use and physically invalid values (delegated to
+    the module constructors via a dry model build).
     """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -143,12 +144,22 @@ def load_config(path: str | os.PathLike | None) -> dict:
     if kind not in _SIGMA_KEYS:
         raise ConfigError(f"unknown sigma kind {kind!r}; expected one of {sorted(_SIGMA_KEYS)}")
     _check_keys("dielectric.sigma", sigma_spec, _SIGMA_KEYS[kind])
+    _check_grid(cfg["grid"])
 
     try:
         build_model(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     return cfg
+
+
+def _check_grid(grid: dict) -> None:
+    """nx: an even cell count of at least 4 (Simpson energy, 5-node profile); neta >= 3."""
+    nx, neta = grid["nx"], grid["neta"]
+    if not isinstance(nx, int) or isinstance(nx, bool) or nx < 4 or nx % 2:
+        raise ConfigError(f"'grid.nx' must be an even integer of at least 4, got {nx!r}")
+    if not isinstance(neta, int) or isinstance(neta, bool) or neta < 3:
+        raise ConfigError(f"'grid.neta' must be an integer of at least 3, got {neta!r}")
 
 
 def _build_sigma(spec: dict, L: float):
@@ -267,9 +278,8 @@ def run_single(cfg: dict, out_dir: Path, verify: bool = False) -> tuple[int, dic
 
     result = minimize(initial, model, constants, options)
     profile = result.profile
-    field = solve_potential(profile, model, n_eta=options.n_eta, gap_threshold=options.gap_threshold)
-    force = compute_force(profile, model, field)
-    coincidence = field.coincidence
+    force = compute_force(profile, model, result.field)
+    coincidence = result.field.coincidence
     ok_sup, margin = sup_bound_check(profile, constants)
 
     outputs = cfg["outputs"]

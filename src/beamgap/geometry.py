@@ -155,9 +155,6 @@ class CoincidenceSet:
     components: tuple[tuple[int, int], ...]
     gap_threshold: float
 
-    def x_intervals(self, x_nodes: np.ndarray) -> list[tuple[float, float]]:
-        return [(float(x_nodes[i]), float(x_nodes[j])) for i, j in self.components]
-
     @property
     def contact_fraction(self) -> float:
         return float(np.count_nonzero(self.contact_mask)) / self.contact_mask.size
@@ -217,7 +214,6 @@ class MappedMesh:
     x_nodes: np.ndarray
     eta_nodes: np.ndarray
     gap_nodes: np.ndarray
-    slope_nodes: np.ndarray
     x_q: np.ndarray
     eta_q: np.ndarray
     gap_q: np.ndarray
@@ -246,10 +242,6 @@ class MappedMesh:
         """Physical height of the quadrature points, z = -H + eta (H + v)."""
         return -self.H + self.eta_q * self.gap_q
 
-    def v_q(self) -> np.ndarray:
-        """Interpolated deflection at the quadrature points, v = gap - H."""
-        return self.gap_q - self.H
-
 
 def build_mapped_mesh(profile: DeflectionProfile, component: tuple[int, int], n_eta: int) -> MappedMesh:
     """Assemble quadrature-point metric data for one non-contact component.
@@ -271,11 +263,7 @@ def build_mapped_mesh(profile: DeflectionProfile, component: tuple[int, int], n_
     dx = profile.spacing
 
     gap_nodes = H + u
-    slope_nodes = np.empty_like(u)
     cell_slope = np.diff(u) / dx
-    slope_nodes[1:-1] = 0.5 * (cell_slope[:-1] + cell_slope[1:])
-    slope_nodes[0] = cell_slope[0]
-    slope_nodes[-1] = cell_slope[-1]
 
     eta_nodes = np.linspace(0.0, 1.0, n_eta + 1)
 
@@ -311,7 +299,6 @@ def build_mapped_mesh(profile: DeflectionProfile, component: tuple[int, int], n_
         x_nodes=x.copy(),
         eta_nodes=eta_nodes,
         gap_nodes=gap_nodes,
-        slope_nodes=slope_nodes,
         x_q=cellview(np.ascontiguousarray(Xq)),
         eta_q=cellview(np.ascontiguousarray(Eq)),
         gap_q=cellview(np.ascontiguousarray(Gq)),

@@ -52,7 +52,6 @@ class MinimizeOptions:
     tol_active: float = 1e-8
     n_eta: int = 128
     gap_threshold: float | None = None
-    refresh_force_every: int = 1
     audit_every: int = 0
 
 
@@ -90,10 +89,13 @@ class HistoryRow:
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """Final state of a descent; ``field`` is the potential solved at ``profile``."""
+
     profile: DeflectionProfile
     energy: EnergyReport
     residual: VIResidual
     history: list[HistoryRow] = dc_field(repr=False)
+    field: PotentialField = dc_field(repr=False)
     converged: bool = False
     iterations: int = 0
     status: str = ""
@@ -231,20 +233,18 @@ def minimize(
     Projected descent with backtracking: directions are M-preconditioned
     residuals, trial points are clamped to the obstacle with the endpoint
     rows pinned, and a step is accepted only if the discrete penalized energy
-    does not increase (up to round-off slack). With the default
-    refresh_force_every = 1 the potential is re-solved at every trial point,
-    so accepted iterates have non-increasing true discrete energy; larger
-    values freeze the force and linearize the electrostatic term between
-    refreshes, trading that guarantee for fewer solves. Returns the last
-    valid state with status 'line_search_failure' if no acceptable step
-    exists at a non-stationary point.
+    does not increase (up to round-off slack). The potential is solved once
+    per trial point, so accepted iterates have non-increasing true discrete
+    energy. The field of an accepted point serves its force and, at the end,
+    the energy report and ``MinimizeResult.field``: apart from the optional
+    force audit, no profile is solved twice. Returns the last valid state
+    with status 'line_search_failure' if no acceptable step exists at a
+    non-stationary point.
     """
     opts = options or MinimizeOptions()
     k = constants.kappa0 if opts.k is None else float(opts.k)
     if k < constants.H:
         raise ValueError(f"penalty level k = {k} is below H = {constants.H}")
-    if opts.refresh_force_every < 1:
-        raise ValueError("refresh_force_every must be at least 1")
 
     profile = initial
     h = profile.spacing
@@ -281,24 +281,17 @@ def minimize(
         ab = _banded_hessian(u.size - 2, h, profile.bc_mode, constants.beta, coef, pen_diag)
         direction = -solveh_banded(ab, r_int)
 
-        refresh = (iteration % opts.refresh_force_every) == 0
         at_obstacle = u[1:-1] <= -profile.H + opts.tol_active
         restricted = False
         accepted = False
         step = opts.step0
         backtracks = 0
         slack = 1e-12 * (1.0 + abs(merit))
-        trial = profile
-        trial_e_e, trial_field, trial_merit = e_e, None, merit
         while True:
             trial_u = u.copy()
             trial_u[1:-1] = np.maximum(u[1:-1] + step * direction, -profile.H)
             trial = profile.with_values(trial_u)
-            if refresh:
-                trial_e_e, trial_field = electro_total(trial)
-            else:
-                trial_e_e = e_e + float(h * np.sum(g * (trial_u - u)))
-                trial_field = None
+            trial_e_e, trial_field = electro_total(trial)
             t_mech, t_pen = _merit_parts(trial, constants, k)
             trial_merit = t_mech + t_pen + trial_e_e
             if trial_merit <= merit + slack:
@@ -325,9 +318,8 @@ def minimize(
         profile = trial
         e_e = trial_e_e
         merit = trial_merit
-        if trial_field is not None:
-            field = trial_field
-            g = compute_force(profile, model, field).g
+        field = trial_field
+        g = compute_force(profile, model, field).g
 
         audit_gap = float("nan")
         if opts.audit_every > 0 and (iteration + 1) % opts.audit_every == 0:
@@ -348,12 +340,13 @@ def minimize(
             )
         )
 
-    report = total_energy(profile, model, constants, k=k, n_eta=opts.n_eta, gap_threshold=opts.gap_threshold)
+    report = total_energy(profile, model, constants, k=k, field=field)
     return MinimizeResult(
         profile=profile,
         energy=report,
         residual=residual,
         history=history,
+        field=field,
         converged=converged,
         iterations=iteration,
         status=status,

@@ -18,6 +18,11 @@ Discretization: bilinear elements, 2x2 Gauss per cell, lumped trapezoid Robin
 mass on the bottom edge. The same quadratures are reused by the energy module
 so that the discrete electrostatic energy is exactly the negative of the
 minimized discrete functional.
+
+Linear solve: one path for every system size. The reduced SPD system is
+factored by SuperLU with the MMD_AT_PLUS_A ordering (minimum degree on the
+symmetric pattern A + A^T), solved once, and the factor is dropped; there is
+no iterative fallback.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg, splu
+from scipy.sparse.linalg import splu
 
 from .geometry import (
     CoincidenceSet,
@@ -49,8 +54,6 @@ __all__ = [
     "functional_quadratic",
 ]
 
-_DIRECT_DOF_LIMIT = 500_000
-
 # reference bilinear basis: nodes (i,j), (i+1,j), (i+1,j+1), (i,j+1)
 _GP = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
@@ -72,6 +75,17 @@ def _reference_gradients() -> tuple[np.ndarray, np.ndarray]:
 
 
 _DXI, _DZE = _reference_gradients()
+
+
+def _outer_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(4 Gauss, 16) table of p[g, m] q[g, n], column 4 m + n."""
+    return (p[:, :, None] * q[:, None, :]).reshape(4, 16)
+
+
+# element stiffness on [-1, 1]^2 per Gauss point: K_cell = a11 T11 + a12 T12 + a22 T22
+_T11 = _outer_table(_DXI, _DXI)
+_T12 = _outer_table(_DXI, _DZE) + _outer_table(_DZE, _DXI)
+_T22 = _outer_table(_DZE, _DZE)
 
 
 def _basis_values() -> np.ndarray:
@@ -102,12 +116,10 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class ComponentSolution:
-    """Nodal chi on one component mesh plus linear-solver statistics."""
+    """Nodal chi on one component mesh and the relative residual of its solve."""
 
     mesh: MappedMesh
     chi: np.ndarray
-    method: str
-    iterations: int
     residual: float
 
 
@@ -203,100 +215,72 @@ def assemble(
 
     n_x, n_eta = mesh.n_x, mesh.n_eta
     dx, de = mesh.dx, mesh.deta
-    n_nodes_eta = n_eta + 1
-    n_nodes = (n_x + 1) * n_nodes_eta
     jac = dx * de / 4.0
+    sx, se = 2.0 / dx, 2.0 / de
 
-    gx = _DXI * (2.0 / dx)  # (4 gauss, 4 basis)
-    ge = _DZE * (2.0 / de)
+    # free-node numbering in node order; the Dirichlet nodes (top row and
+    # lateral columns, chi = 0) map to -1 and drop out of every scatter
+    dof = np.full((n_x + 1, n_eta + 1), -1)
+    dof[1:-1, :-1] = np.arange((n_x - 1) * n_eta).reshape(n_x - 1, n_eta)
+    n_free = (n_x - 1) * n_eta
+    corners = _corner_values(dof)  # (n_cells, 4), cells ordered (ix, ie) row-major
+    live = corners.reshape(-1) >= 0
 
-    a11 = mesh.a11.reshape(-1, 4)
-    a12 = mesh.a12.reshape(-1, 4)
-    a22 = mesh.a22.reshape(-1, 4)
+    def scatter(cell_vals: np.ndarray) -> np.ndarray:
+        return np.bincount(corners.reshape(-1)[live], weights=cell_vals.reshape(-1)[live], minlength=n_free)
+
     k_all = (
-        np.einsum("cg,gm,gn->cmn", a11, gx, gx)
-        + np.einsum("cg,gm,gn->cmn", a12, gx, ge)
-        + np.einsum("cg,gm,gn->cmn", a12, ge, gx)
-        + np.einsum("cg,gm,gn->cmn", a22, ge, ge)
-    ) * jac
-
-    # cell -> corner global ids, cells ordered as (ix, ie) row-major
-    ix = np.repeat(np.arange(n_x), n_eta)
-    ie = np.tile(np.arange(n_eta), n_x)
-    corners = np.stack(
-        [
-            ix * n_nodes_eta + ie,
-            (ix + 1) * n_nodes_eta + ie,
-            (ix + 1) * n_nodes_eta + ie + 1,
-            ix * n_nodes_eta + ie + 1,
-        ],
-        axis=1,
-    )  # (n_cells, 4)
-
+        mesh.a11.reshape(-1, 4) @ (_T11 * (jac * sx * sx))
+        + mesh.a12.reshape(-1, 4) @ (_T12 * (jac * sx * se))
+        + mesh.a22.reshape(-1, 4) @ (_T22 * (jac * se * se))
+    )  # (n_cells, 16), entry 4 m + n couples corners m and n
     rows = np.repeat(corners, 4, axis=1).reshape(-1)
     cols = np.tile(corners, (1, 4)).reshape(-1)
-    mat = sp.coo_matrix((k_all.reshape(-1), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+    keep = (rows >= 0) & (cols >= 0)
 
-    # lumped Robin mass on eta = 0
-    w_bot = _bottom_weights(n_x, dx)
-    sig = model.sigma.value(mesh.x_nodes)
-    bottom_ids = np.arange(n_x + 1) * n_nodes_eta
-    mat += sp.coo_matrix((sig * w_bot, (bottom_ids, bottom_ids)), shape=(n_nodes, n_nodes)).tocsr()
+    # lumped Robin mass on eta = 0, at the free bottom nodes
+    bottom = dof[1:-1, 0]
+    w_bot = _bottom_weights(n_x, dx)[1:-1]
+    sig = model.sigma.value(mesh.x_nodes)[1:-1]
+    mat = sp.coo_matrix(
+        (
+            np.concatenate([k_all.reshape(-1)[keep], sig * w_bot]),
+            (np.concatenate([rows[keep], bottom]), np.concatenate([cols[keep], bottom])),
+        ),
+        shape=(n_free, n_free),
+    ).tocsr()
 
     # load: volume part from the pulled-back gradient of h_v
     b1, b2 = _h_pullback_gradient(mesh, model)
-    load_cells = -(
-        np.einsum("cg,gm->cm", b1.reshape(-1, 4), gx) + np.einsum("cg,gm->cm", b2.reshape(-1, 4), ge)
-    ) * jac
-    b = np.zeros(n_nodes)
-    np.add.at(b, corners.reshape(-1), load_cells.reshape(-1))
+    b = scatter(-(b1.reshape(-1, 4) @ _DXI * sx + b2.reshape(-1, 4) @ _DZE * se) * jac)
 
     # load: bottom datum
-    v_bot = mesh.gap_nodes - mesh.H
-    datum = model.h(mesh.x_nodes, -mesh.H, v_bot) - model.frak_h(mesh.x_nodes, v_bot)
-    b[bottom_ids] -= sig * w_bot * datum
+    x_bot = mesh.x_nodes[1:-1]
+    v_bot = mesh.gap_nodes[1:-1] - mesh.H
+    b[bottom] -= sig * w_bot * (model.h(x_bot, -mesh.H, v_bot) - model.frak_h(x_bot, v_bot))
 
     if source is not None:
         f_q = np.asarray(source(mesh.x_q, mesh.z_q()), dtype=float) * mesh.gap_q
-        f_cells = np.einsum("cg,gm->cm", f_q.reshape(-1, 4), _NVAL) * jac
-        np.add.at(b, corners.reshape(-1), f_cells.reshape(-1))
-
-    # Dirichlet reduction: top row and lateral columns carry chi = 0
-    free = np.ones(n_nodes, dtype=bool)
-    free[np.arange(n_nodes_eta - 1, n_nodes, n_nodes_eta)] = False  # eta = 1
-    free[:n_nodes_eta] = False  # x = left edge
-    free[-n_nodes_eta:] = False  # x = right edge
-    free_ids = np.flatnonzero(free)
+        b += scatter(f_q.reshape(-1, 4) @ _NVAL * jac)
 
     return LinearSystem(
-        matrix=mat[free_ids][:, free_ids].tocsr(),
-        rhs=b[free_ids],
-        free_nodes=free_ids,
+        matrix=mat,
+        rhs=b,
+        free_nodes=np.flatnonzero(dof.reshape(-1) >= 0),
         n_x=n_x,
         n_eta=n_eta,
     )
 
 
-def _solve_system(system: LinearSystem) -> tuple[np.ndarray, str, int, float]:
+def _solve_system(system: LinearSystem) -> tuple[np.ndarray, float]:
+    """SuperLU solve of the reduced system; returns (x, relative residual)."""
     a, b = system.matrix, system.rhs
     if a.shape[0] == 0:
-        return np.zeros(0), "direct", 0, 0.0
+        return np.zeros(0), 0.0
+    x = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
     b_norm = float(np.linalg.norm(b))
-    if a.shape[0] <= _DIRECT_DOF_LIMIT:
-        x = splu(a.tocsc()).solve(b)
-        res = float(np.linalg.norm(a @ x - b)) / b_norm if b_norm > 0.0 else 0.0
-        return x, "direct", 1, res
-    count = {"n": 0}
-
-    def cb(_):
-        count["n"] += 1
-
-    m_inv = sp.diags(1.0 / a.diagonal())
-    x, info = cg(a, b, rtol=1e-10, atol=0.0, M=m_inv, callback=cb)
     res = float(np.linalg.norm(a @ x - b)) / b_norm if b_norm > 0.0 else 0.0
-    if info != 0:
-        raise RuntimeError(f"conjugate gradient failed to converge (info={info}, residual={res:.3e})")
-    return x, "cg", count["n"], res
+    return x, res
 
 
 def solve_potential(
@@ -325,10 +309,10 @@ def solve_potential(
     for comp in coincidence.components:
         mesh = build_mapped_mesh(profile, comp, n_eta)
         system = assemble(mesh, model, profile, source=source)
-        x, method, iters, res = _solve_system(system)
+        x, res = _solve_system(system)
         chi = np.zeros((mesh.n_x + 1, mesh.n_eta + 1))
         chi.reshape(-1)[system.free_nodes] = x
-        solutions.append(ComponentSolution(mesh=mesh, chi=chi, method=method, iterations=iters, residual=res))
+        solutions.append(ComponentSolution(mesh=mesh, chi=chi, residual=res))
 
         i_lo, i_hi = comp
         de = mesh.deta

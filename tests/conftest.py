@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,21 @@ def mms_l2_error(n_cells: int) -> float:
     wx = simpson_weights(mesh.x_nodes.size, mesh.dx)
     we = simpson_weights(mesh.eta_nodes.size, mesh.deta)
     return float(np.sqrt(wx @ (err**2) @ we))
+
+
+def count_solves(monkeypatch, modules: tuple[str, ...]) -> list:
+    """Log the profile of every solve_potential call made through the named beamgap modules."""
+    calls = []
+    for name in modules:
+        # by module path: the package namespace re-exports the function ``minimize``
+        module = importlib.import_module(f"beamgap.{name}")
+
+        def counted(profile, *args, _original=module.solve_potential, **kwargs):
+            calls.append(profile)
+            return _original(profile, *args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_potential", counted)
+    return calls
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conftest import count_solves
+
 from beamgap import cli
 
 
@@ -58,6 +60,23 @@ def test_unknown_sigma_kind_rejected(tmp_path):
     assert cli.main(["kappa0", "--config", path]) == 2
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [{"nx": 63, "neta": 32}, {"nx": 64, "neta": 2}, {"nx": 2, "neta": 32}, {"nx": 64.0, "neta": 32}],
+)
+def test_invalid_grid_rejected_before_any_solve(tmp_path, monkeypatch, grid):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an invalid grid must be rejected before any solve")
+
+    monkeypatch.setattr(cli, "minimize", no_solve)
+    path = write_config(tmp_path, {"grid": grid})
+    with pytest.raises(cli.ConfigError):
+        cli.load_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_missing_verb_exits(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
@@ -105,6 +124,19 @@ def test_run_writes_artifacts(tmp_path, capsys):
     history = (out / "history.csv").read_text(encoding="utf-8").splitlines()
     assert history[0].startswith("iteration,e_mechanical,e_electrostatic")
     assert len(history) >= 2
+
+
+def test_run_single_adds_no_solve(tmp_path, monkeypatch):
+    """The run solves each trial point of the descent once and nothing after it."""
+    calls = count_solves(monkeypatch, ("cli", "minimize", "energy", "force"))
+    cfg = cli.load_config(write_config(tmp_path, {"dielectric": {"V": 0.5, "K": 1.0}, "grid": {"nx": 64, "neta": 32}}))
+    code, summary = cli.run_single(cfg, tmp_path / "out")
+    assert code == 0 and summary["converged"]
+
+    rows = (tmp_path / "out" / "history.csv").read_text(encoding="utf-8").splitlines()[1:]
+    backtracks = sum(int(row.split(",")[-1]) for row in rows)
+    assert len(calls) == len(rows) + 1 + backtracks
+    assert len({p.u.tobytes() for p in calls}) == len(calls)
 
 
 def test_flags_accepted_before_verb(tmp_path):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import count_solves
+
 from beamgap.energy import total_energy
 from beamgap.geometry import DeflectionProfile
 from beamgap.minimize import (
@@ -138,3 +140,21 @@ def test_audit_hook_records_gap():
     audited = [row.audit_gap for row in res.history if not np.isnan(row.audit_gap)]
     assert audited, "audit_every=1 should record at least one probe"
     assert all(gap < 1e-3 for gap in audited)
+
+
+# ---------------------------------------------------------------- solve count
+
+
+@pytest.mark.parametrize("step0", [1.0, 4.0])
+def test_each_trial_point_solved_once(monkeypatch, step0):
+    """One solve for the start and one per trial point; the result reuses the last."""
+    model, constants, initial = small_setup(0.5)
+    calls = count_solves(monkeypatch, ("minimize",))
+    # step0 = 4 overshoots and backtracks once per iteration without converging
+    res = minimize(initial, model, constants, MinimizeOptions(n_eta=32, step0=step0, max_iters=5))
+    backtracks = sum(row.backtracks for row in res.history)
+    assert res.converged == (step0 == 1.0)
+    assert (backtracks > 0) == (step0 == 4.0)
+    assert len(calls) == len(res.history) + 1 + backtracks
+    assert len({p.u.tobytes() for p in calls}) == len(calls)
+    assert res.field.profile is res.profile

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from conftest import random_admissible_profile
 
 from beamgap.geometry import DeflectionProfile, build_mapped_mesh, detect_coincidence
-from beamgap.model import make_example_model
+from beamgap.model import make_example_model, sigma_polynomial
 from beamgap.solver import (
     assemble,
     functional_dual,
@@ -141,13 +142,32 @@ def test_robin_residual_decreases_under_refinement(unit_model):
     assert sups[2] < 1e-4
 
 
-def test_contact_profile_nan_traces(unit_model):
-    H = 1.0
-
+def two_component_contact(n_cells: int = 128, H: float = 1.0) -> DeflectionProfile:
     def f(x):
         return np.maximum(-H, -2.0 * H * np.exp(-8.0 * x**2) * (1.0 - x**2))
 
-    p = DeflectionProfile.from_callable(f, L=1.0, H=H, n_cells=128)
+    return DeflectionProfile.from_callable(f, L=1.0, H=H, n_cells=n_cells)
+
+
+def test_solve_matches_reference_solver():
+    """chi from solve_potential equals scipy's spsolve on the same assembled system."""
+    model = make_example_model(V=1.3, sigma=sigma_polynomial([1.0, 0.5, 0.5], domain=(-1.0, 1.0)), H=1.0, K=1.0)
+    p = two_component_contact()
+    cs = detect_coincidence(p)
+    field = solve_potential(p, model, n_eta=24)
+    assert len(cs.components) == len(field.components) == 2
+    for span, comp in zip(cs.components, field.components):
+        mesh = build_mapped_mesh(p, span, n_eta=24)
+        system = assemble(mesh, model, p)
+        assert system.symmetry_error() <= 1e-14 * np.max(np.abs(system.matrix.data))
+        ref = spsolve(system.matrix.tocsc(), system.rhs)
+        chi = comp.chi.reshape(-1)[system.free_nodes]
+        assert np.max(np.abs(chi - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert comp.residual <= 1e-12
+
+
+def test_contact_profile_nan_traces(unit_model):
+    p = two_component_contact()
     cs = detect_coincidence(p)
     field = solve_potential(p, unit_model, n_eta=16)
     assert len(field.components) == len(cs.components) == 2
