@@ -70,7 +70,6 @@ from .solver import (
     MaxPrincipleReport,
     PotentialField,
     assemble,
-    functional_quadratic,
     max_principle_check,
     solve_potential,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "directional_derivative_check",
     "electrostatic_energy",
     "estimate_K",
-    "functional_quadratic",
     "identity_check_mapped",
     "identity_check_rect",
     "inequality_battery",

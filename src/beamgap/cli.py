@@ -154,10 +154,10 @@ def load_config(path: str | os.PathLike | None) -> dict:
 
 
 def _check_grid(grid: dict) -> None:
-    """nx: an even cell count of at least 4 (Simpson energy, 5-node profile); neta >= 3."""
+    """nx: a cell count of at least 4 (5-node profile); neta >= 3."""
     nx, neta = grid["nx"], grid["neta"]
-    if not isinstance(nx, int) or isinstance(nx, bool) or nx < 4 or nx % 2:
-        raise ConfigError(f"'grid.nx' must be an even integer of at least 4, got {nx!r}")
+    if not isinstance(nx, int) or isinstance(nx, bool) or nx < 4:
+        raise ConfigError(f"'grid.nx' must be an integer of at least 4, got {nx!r}")
     if not isinstance(neta, int) or isinstance(neta, bool) or neta < 3:
         raise ConfigError(f"'grid.neta' must be an integer of at least 3, got {neta!r}")
 

@@ -1,10 +1,15 @@
 """Mechanical, electrostatic, total, and penalized energies of a profile.
 
-The beam terms use composite Simpson quadrature of squared central
-differences (ghost-node conventions per boundary mode). The field term reuses
-the solver's mapped Gauss quadrature on the reconstructed potential and the
-lumped trapezoid bottom term, so the electrostatic energy is exactly the
-negative of the discrete functional the solver minimizes.
+This is the one discrete energy of the package: ``minimize`` descends
+exactly the ``e_penalized`` reported here. Bending is the trapezoid rule on
+squared ghost-convention second differences, ||u'||^2 the cell-midpoint rule
+on forward differences, and the penalty the trapezoid rule of (u - k)_+^2.
+These pair exactly with the D4/D2 rows of the minimizer's residual r: the
+nodal gradient of the mechanical and penalty parts is h times those rows at
+every interior node. The field term reuses the solver's mapped Gauss quadrature on the
+reconstructed potential and the lumped trapezoid bottom term, so the
+electrostatic energy is exactly the negative of the discrete functional the
+solver minimizes.
 """
 
 from __future__ import annotations
@@ -24,21 +29,9 @@ __all__ = [
     "mechanical_energy",
     "electrostatic_energy",
     "total_energy",
-    "simpson_weights",
     "second_differences",
-    "first_differences",
     "coercivity_offset",
 ]
-
-
-def simpson_weights(n_nodes: int, spacing: float) -> np.ndarray:
-    """Composite Simpson weights; the cell count n_nodes - 1 must be even."""
-    if n_nodes < 3 or (n_nodes - 1) % 2 != 0:
-        raise ValueError(f"Simpson quadrature needs an even cell count, got {n_nodes - 1}")
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (spacing / 3.0)
 
 
 def second_differences(profile: DeflectionProfile) -> np.ndarray:
@@ -59,18 +52,18 @@ def second_differences(profile: DeflectionProfile) -> np.ndarray:
     return d
 
 
-def first_differences(profile: DeflectionProfile) -> np.ndarray:
-    """Central first differences; clamped ends are exact zeros, pinned one-sided."""
-    u, h = profile.u, profile.spacing
-    d = np.empty_like(u)
-    d[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    if profile.bc_mode == "clamped":
-        d[0] = 0.0
-        d[-1] = 0.0
-    else:
-        d[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-        d[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    return d
+def grad_sq_norm(u: np.ndarray, h: float) -> float:
+    """||u'||^2 by the cell-midpoint rule, h sum of squared forward differences."""
+    d = np.diff(u) / h
+    return float(h * np.sum(d * d))
+
+
+def _trapezoid_weights(n_nodes: int) -> np.ndarray:
+    """Trapezoid weights in units of the spacing: 1/2 at the ends, 1 inside."""
+    w = np.ones(n_nodes)
+    w[0] = 0.5
+    w[-1] = 0.5
+    return w
 
 
 # ---------------------------------------------------------------- reports
@@ -131,16 +124,17 @@ class EnergyReport:
 def mechanical_energy(profile: DeflectionProfile, beta: float, tau: float, alpha: float) -> MechanicalEnergy:
     """Beam energy (beta/2)||u''||^2 + (tau/2 + (alpha/4)||u'||^2) ||u'||^2.
 
-    Both norms are composite Simpson quadratures of squared central
-    differences on the profile grid.
+    ||u''||^2 is the trapezoid rule on squared second differences and
+    ||u'||^2 the cell-midpoint rule on forward differences.
     """
-    w = simpson_weights(profile.x_nodes.size, profile.spacing)
-    i2 = float(np.sum(w * second_differences(profile) ** 2))
-    i1 = float(np.sum(w * first_differences(profile) ** 2))
+    h = profile.spacing
+    d2 = second_differences(profile)
+    w = _trapezoid_weights(d2.size)
+    i1 = grad_sq_norm(profile.u, h)
     return MechanicalEnergy(
-        bending=0.5 * beta * i2,
+        bending=0.5 * beta * h * float(np.sum(w * d2 * d2)),
         stretching=0.5 * tau * i1,
-        self_stretching=0.25 * alpha * i1**2,
+        self_stretching=0.25 * alpha * i1 * i1,
     )
 
 
@@ -200,6 +194,8 @@ def total_energy(
 ) -> EnergyReport:
     """Energy report at a profile; with penalty level k adds (A/2)||(u-k)+||^2.
 
+    The penalty norm is the trapezoid rule, like the bending norm.
+
     k = None returns the plain energy (penalty zero); k < H is rejected.
     """
     if k is not None and k < constants.H:
@@ -208,9 +204,9 @@ def total_energy(
     elec = electrostatic_energy(profile, model, n_eta=n_eta, gap_threshold=gap_threshold, field=field)
     penalty = 0.0
     if k is not None:
-        w = simpson_weights(profile.x_nodes.size, profile.spacing)
+        w = _trapezoid_weights(profile.u.size)
         excess = np.maximum(profile.u - k, 0.0)
-        penalty = 0.5 * constants.A * float(np.sum(w * excess**2))
+        penalty = 0.5 * constants.A * profile.spacing * float(np.sum(w * excess * excess))
     return EnergyReport(mechanical=mech, electrostatic=elec, penalty=penalty, k=k)
 
 

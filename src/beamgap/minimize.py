@@ -8,11 +8,14 @@ residual
 
 is preconditioned by the SPD matrix M = beta D4 - coef D2 + A diag(u > k)
 (the exact Hessian of the force-frozen part) to give the step direction.
-Trial points are clamped to the obstacle and accepted by backtracking on the
-discrete penalized energy, whose quadrature is chosen so that its gradient is
-exactly h r at interior nodes. Convergence is declared on the variational
-inequality: |r| small on nodes off the obstacle, r bounded below by -tol on
-nodes at the obstacle.
+Trial points are clamped to the obstacle and accepted by backtracking on
+the penalized energy that ``total_energy`` reports. Its mechanical and
+penalty parts have nodal gradient exactly h (r - g) at interior nodes, so the
+residual is the gradient of the energy the descent decreases, up to the
+force g standing in for the gradient of the discrete electrostatic energy.
+The report of the accepted profile is the result's energy. Convergence is
+declared on the variational inequality: |r| small on nodes off the obstacle,
+r bounded below by -tol on nodes at the obstacle.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .energy import EnergyReport, second_differences, total_energy
+from .energy import EnergyReport, grad_sq_norm, second_differences, total_energy
 from .force import compute_force, directional_derivative_check
 from .geometry import DeflectionProfile
 from .model import DielectricModel, ModelConstants
@@ -117,17 +120,6 @@ def _apply_d4(u: np.ndarray, h: float, bc_mode: str) -> np.ndarray:
     return (ue[i - 1] - 4.0 * ue[i] + 6.0 * ue[i + 1] - 4.0 * ue[i + 2] + ue[i + 3]) / h**4
 
 
-def _apply_d2(u: np.ndarray, h: float) -> np.ndarray:
-    """Second difference at the interior nodes (endpoint values enter as data)."""
-    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-
-
-def _grad_sq_norm(u: np.ndarray, h: float) -> float:
-    """||u'||^2 by the cell-midpoint rule, h sum of squared forward differences."""
-    d = np.diff(u) / h
-    return float(h * np.sum(d * d))
-
-
 def _banded_hessian(
     n_free: int, h: float, bc_mode: str, beta: float, coef: float, pen_diag: np.ndarray
 ) -> np.ndarray:
@@ -146,36 +138,14 @@ def _banded_hessian(
     return ab
 
 
-def _merit_parts(profile: DeflectionProfile, constants: ModelConstants, k: float) -> tuple[float, float]:
-    """(mechanical, penalty) energies whose combined nodal gradient is exactly h r.
-
-    Bending uses the trapezoid rule on squared ghost-convention second
-    differences; stretching uses the cell-midpoint rule on forward
-    differences. These pair exactly with the D4/D2 rows of the residual, so
-    backtracking sees a consistent gradient at every node including the ones
-    next to the boundary.
-    """
-    h = profile.spacing
-    d2 = second_differences(profile)
-    w = np.ones_like(d2)
-    w[0] = 0.5
-    w[-1] = 0.5
-    bend = 0.5 * constants.beta * h * float(np.sum(w * d2 * d2))
-    i1 = _grad_sq_norm(profile.u, h)
-    stretch = 0.5 * constants.tau * i1 + 0.25 * constants.alpha * i1 * i1
-    excess = np.maximum(profile.u - k, 0.0)
-    pen = 0.5 * constants.A * h * float(np.sum(w * excess * excess))
-    return bend + stretch, pen
-
-
 def _residual_vector(
     profile: DeflectionProfile, constants: ModelConstants, k: float, g: np.ndarray
 ) -> np.ndarray:
     """Interior-node residual r of the discrete variational inequality."""
     u, h = profile.u, profile.spacing
-    coef = constants.tau + constants.alpha * _grad_sq_norm(u, h)
+    coef = constants.tau + constants.alpha * grad_sq_norm(u, h)
     r = constants.beta * _apply_d4(u, h, profile.bc_mode)
-    r -= coef * _apply_d2(u, h)
+    r -= coef * second_differences(profile)[1:-1]
     r += constants.A * np.maximum(u[1:-1] - k, 0.0)
     r += g[1:-1]
     return r
@@ -233,13 +203,13 @@ def minimize(
     Projected descent with backtracking: directions are M-preconditioned
     residuals, trial points are clamped to the obstacle with the endpoint
     rows pinned, and a step is accepted only if the discrete penalized energy
-    does not increase (up to round-off slack). The potential is solved once
-    per trial point, so accepted iterates have non-increasing true discrete
-    energy. The field of an accepted point serves its force and, at the end,
-    the energy report and ``MinimizeResult.field``: apart from the optional
-    force audit, no profile is solved twice. Returns the last valid state
-    with status 'line_search_failure' if no acceptable step exists at a
-    non-stationary point.
+    does not increase (up to round-off slack). The potential is solved and
+    the energy reported once per trial point, so accepted iterates have
+    non-increasing discrete energy. The field and report of an accepted point
+    serve its force, its history row and, at the end, ``MinimizeResult``:
+    apart from the optional force audit, no profile is solved twice. Returns
+    the last valid state with status 'line_search_failure' if no acceptable
+    step exists at a non-stationary point.
     """
     opts = options or MinimizeOptions()
     k = constants.kappa0 if opts.k is None else float(opts.k)
@@ -250,15 +220,12 @@ def minimize(
     h = profile.spacing
     history: list[HistoryRow] = []
 
-    def electro_total(p: DeflectionProfile) -> tuple[float, PotentialField]:
+    def evaluate(p: DeflectionProfile) -> tuple[EnergyReport, PotentialField]:
         fld = solve_potential(p, model, n_eta=opts.n_eta, gap_threshold=opts.gap_threshold)
-        rep = total_energy(p, model, constants, k=None, field=fld)
-        return rep.e_electrostatic, fld
+        return total_energy(p, model, constants, k=k, field=fld), fld
 
-    e_e, field = electro_total(profile)
+    report, field = evaluate(profile)
     g = compute_force(profile, model, field).g
-    mech, pen = _merit_parts(profile, constants, k)
-    merit = mech + pen + e_e
 
     status = "max_iters"
     converged = False
@@ -276,7 +243,7 @@ def minimize(
             break
 
         u = profile.u
-        coef = constants.tau + constants.alpha * _grad_sq_norm(u, h)
+        coef = constants.tau + constants.alpha * grad_sq_norm(u, h)
         pen_diag = constants.A * (u[1:-1] > k).astype(float)
         ab = _banded_hessian(u.size - 2, h, profile.bc_mode, constants.beta, coef, pen_diag)
         direction = -solveh_banded(ab, r_int)
@@ -286,15 +253,13 @@ def minimize(
         accepted = False
         step = opts.step0
         backtracks = 0
-        slack = 1e-12 * (1.0 + abs(merit))
+        slack = 1e-12 * (1.0 + abs(report.e_penalized))
         while True:
             trial_u = u.copy()
             trial_u[1:-1] = np.maximum(u[1:-1] + step * direction, -profile.H)
             trial = profile.with_values(trial_u)
-            trial_e_e, trial_field = electro_total(trial)
-            t_mech, t_pen = _merit_parts(trial, constants, k)
-            trial_merit = t_mech + t_pen + trial_e_e
-            if trial_merit <= merit + slack:
+            trial_report, trial_field = evaluate(trial)
+            if trial_report.e_penalized <= report.e_penalized + slack:
                 accepted = True
                 break
             backtracks += 1
@@ -316,8 +281,7 @@ def minimize(
             break
 
         profile = trial
-        e_e = trial_e_e
-        merit = trial_merit
+        report = trial_report
         field = trial_field
         g = compute_force(profile, model, field).g
 
@@ -325,13 +289,12 @@ def minimize(
         if opts.audit_every > 0 and (iteration + 1) % opts.audit_every == 0:
             audit_gap = _audit_force_consistency(profile, model, opts)
 
-        mech, pen = _merit_parts(profile, constants, k)
         history.append(
             HistoryRow(
                 iteration=iteration + 1,
-                e_mechanical=mech,
-                e_electrostatic=e_e,
-                e_penalized=merit,
+                e_mechanical=report.e_mechanical,
+                e_electrostatic=report.e_electrostatic,
+                e_penalized=report.e_penalized,
                 stationarity=residual.stationarity,
                 active_count=int(np.count_nonzero(residual.active_mask)),
                 step_size=step,
@@ -340,7 +303,6 @@ def minimize(
             )
         )
 
-    report = total_energy(profile, model, constants, k=k, field=field)
     return MinimizeResult(
         profile=profile,
         energy=report,

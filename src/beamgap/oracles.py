@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import simpson_weights
 from .model import _q_norm
 
 __all__ = [
@@ -35,6 +34,19 @@ __all__ = [
     "battery_margins",
     "inequality_battery",
 ]
+
+
+# ---------------------------------------------------------------- quadrature
+
+
+def simpson_weights(n_nodes: int, spacing: float) -> np.ndarray:
+    """Composite Simpson weights; the cell count n_nodes - 1 must be even."""
+    if n_nodes < 3 or (n_nodes - 1) % 2 != 0:
+        raise ValueError(f"Simpson quadrature needs an even cell count, got {n_nodes - 1}")
+    w = np.ones(n_nodes)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (spacing / 3.0)
 
 
 # --------------------------------------------------------------- beam oracle

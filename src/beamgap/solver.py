@@ -50,8 +50,6 @@ __all__ = [
     "assemble",
     "solve_potential",
     "max_principle_check",
-    "functional_dual",
-    "functional_quadratic",
 ]
 
 # reference bilinear basis: nodes (i,j), (i+1,j), (i+1,j+1), (i,j+1)

@@ -5,9 +5,9 @@ import importlib
 import numpy as np
 import pytest
 
-from beamgap.energy import simpson_weights
 from beamgap.geometry import DeflectionProfile
 from beamgap.model import compute_constants, make_example_model, make_zero_data_model
+from beamgap.oracles import simpson_weights
 from beamgap.solver import solve_potential
 
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import count_solves
@@ -62,7 +63,7 @@ def test_unknown_sigma_kind_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "grid",
-    [{"nx": 63, "neta": 32}, {"nx": 64, "neta": 2}, {"nx": 2, "neta": 32}, {"nx": 64.0, "neta": 32}],
+    [{"nx": 64, "neta": 2}, {"nx": 2, "neta": 32}, {"nx": 64.0, "neta": 32}],
 )
 def test_invalid_grid_rejected_before_any_solve(tmp_path, monkeypatch, grid):
     def no_solve(*args, **kwargs):
@@ -124,6 +125,22 @@ def test_run_writes_artifacts(tmp_path, capsys):
     history = (out / "history.csv").read_text(encoding="utf-8").splitlines()
     assert history[0].startswith("iteration,e_mechanical,e_electrostatic")
     assert len(history) >= 2
+
+
+def test_odd_cell_count_runs(tmp_path):
+    """An odd nx converges to a mirror-symmetric profile; run.json reports the minimized energy."""
+    cfg = write_config(tmp_path, {"dielectric": {"V": 0.5, "K": 1.0}, "grid": {"nx": 63, "neta": 16}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+
+    u = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)[:, 1]
+    assert u.size == 64
+    assert np.min(u) < 0.0
+    assert np.max(np.abs(u - u[::-1])) <= 1e-12
+
+    summary = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    last = (out / "history.csv").read_text(encoding="utf-8").splitlines()[-1].split(",")
+    assert summary["energies"]["penalized"] == float(last[3])
 
 
 def test_run_single_adds_no_solve(tmp_path, monkeypatch):

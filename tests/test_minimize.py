@@ -9,6 +9,7 @@ from beamgap.energy import total_energy
 from beamgap.geometry import DeflectionProfile
 from beamgap.minimize import (
     MinimizeOptions,
+    _residual_vector,
     minimize,
     sup_bound_check,
     vi_residual,
@@ -75,6 +76,14 @@ def test_small_voltage_solution_properties(converged_run):
     flat = DeflectionProfile.zero(1.0, 1.0, res.profile.n_cells)
     e_flat = total_energy(flat, model, constants, k=constants.kappa0, n_eta=32)
     assert res.energy.e_penalized <= e_flat.e_penalized
+
+
+def test_report_is_the_minimized_energy(converged_run):
+    _, _, res = converged_run
+    last = res.history[-1]
+    assert res.energy.e_penalized == last.e_penalized
+    assert res.energy.e_mechanical == last.e_mechanical
+    assert res.energy.e_electrostatic == last.e_electrostatic
 
 
 def test_descent_history_monotone(converged_run):
@@ -158,3 +167,36 @@ def test_each_trial_point_solved_once(monkeypatch, step0):
     assert len(calls) == len(res.history) + 1 + backtracks
     assert len({p.u.tobytes() for p in calls}) == len(calls)
     assert res.field.profile is res.profile
+
+
+# ---------------------------------------------------------------- energy gradient
+
+
+@pytest.mark.parametrize("n_cells", [31, 32])
+@pytest.mark.parametrize("bc_mode", ["clamped", "pinned"])
+def test_energy_gradient_is_h_times_residual(bc_mode, n_cells):
+    """The central difference of the reported penalized energy is h r at every interior node.
+
+    Zero data makes E_e = 0 and g = 0; tau, alpha and an active penalty are all on.
+    """
+    model = make_zero_data_model(sigma=1.0, H=1.0)
+    constants = compute_constants(model, beta=1.0, tau=0.7, alpha=0.3, L=1.0, H=1.0, bc_mode=bc_mode)
+    k = 1.0
+    p = DeflectionProfile.from_callable(
+        lambda x: 1.5 * (1.0 - x**2) ** 2 + 0.2 * np.sin(np.pi * x) * (1.0 - x**2),
+        L=1.0, H=1.0, n_cells=n_cells, bc_mode=bc_mode,
+    )
+    assert np.max(p.u) > k
+
+    def e_pen(u):
+        return total_energy(p.with_values(u), model, constants, k=k, n_eta=4).e_penalized
+
+    step = 1e-5
+    fd = np.empty(p.u.size - 2)
+    for i in range(1, p.u.size - 1):
+        up, um = p.u.copy(), p.u.copy()
+        up[i] += step
+        um[i] -= step
+        fd[i - 1] = (e_pen(up) - e_pen(um)) / (2.0 * step)
+    expected = p.spacing * _residual_vector(p, constants, k, g=np.zeros(p.u.size))
+    assert np.max(np.abs(fd - expected)) <= 1e-8 * np.max(np.abs(expected))

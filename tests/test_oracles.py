@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from beamgap import oracles
 from beamgap.oracles import (
     AnalyticDeflection,
     BatterySample,
@@ -212,3 +216,15 @@ def test_battery_sweep_has_no_violations():
     assert len(result.worst_margins) == 9
     assert result.n_samples == 10
     assert result.M >= result.M_v > 0.0
+
+
+# ---------------------------------------------------------------- independence
+
+
+def test_oracles_import_only_the_model():
+    """The oracles share no code with the solver stack: their one package import is .model."""
+    source = Path(oracles.__file__).read_text(encoding="utf-8")
+    imports = [node for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    relative = [node.module for node in imports if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == ["model"]
+    assert not any("beamgap" in ast.unparse(node) for node in imports)
