@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -534,21 +535,7 @@ def _cmd_verify(args) -> int:
 def _cmd_kappa0(args) -> int:
     cfg = load_config(args.config)
     _, constants = build_model(cfg)
-    print(
-        json.dumps(
-            {
-                "A": constants.A,
-                "G0": constants.G0,
-                "kappa0": constants.kappa0,
-                "beta": constants.beta,
-                "tau": constants.tau,
-                "alpha": constants.alpha,
-                "L": constants.L,
-                "H": constants.H,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(dataclasses.asdict(constants), indent=2))
     return 0
 
 

@@ -2,8 +2,9 @@
 
 This is the one discrete energy of the package: ``minimize`` descends
 exactly the ``e_penalized`` reported here. Bending is the trapezoid rule on
-squared ghost-convention second differences, ||u'||^2 the cell-midpoint rule
-on forward differences, and the penalty the trapezoid rule of (u - k)_+^2.
+squared second differences of ``DeflectionProfile.padded`` (the one boundary
+rule), ||u'||^2 the cell-midpoint rule on ``DeflectionProfile.cell_slopes``,
+and the penalty the trapezoid rule of (u - k)_+^2.
 These pair exactly with the D4/D2 rows of the minimizer's residual r: the
 nodal gradient of the mechanical and penalty parts is h times those rows at
 every interior node. The field term reuses the solver's mapped Gauss quadrature on the
@@ -35,27 +36,15 @@ __all__ = [
 
 
 def second_differences(profile: DeflectionProfile) -> np.ndarray:
-    """Central second differences with the boundary-mode ghost convention.
-
-    Clamped reflects the first interior value (u' = 0 at the wall); pinned
-    pins the second derivative to zero there.
-    """
-    u, h = profile.u, profile.spacing
-    d = np.empty_like(u)
-    d[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    if profile.bc_mode == "clamped":
-        d[0] = 2.0 * (u[1] - u[0]) / h**2
-        d[-1] = 2.0 * (u[-2] - u[-1]) / h**2
-    else:
-        d[0] = 0.0
-        d[-1] = 0.0
-    return d
+    """Nodal central second differences of ``profile.padded()``, walls included."""
+    up, h = profile.padded(), profile.spacing
+    return (up[2:] - 2.0 * up[1:-1] + up[:-2]) / h**2
 
 
-def grad_sq_norm(u: np.ndarray, h: float) -> float:
-    """||u'||^2 by the cell-midpoint rule, h sum of squared forward differences."""
-    d = np.diff(u) / h
-    return float(h * np.sum(d * d))
+def grad_sq_norm(profile: DeflectionProfile) -> float:
+    """||u'||^2 by the cell-midpoint rule, h sum of squared cell slopes."""
+    d = profile.cell_slopes()
+    return float(profile.spacing * np.sum(d * d))
 
 
 def _trapezoid_weights(n_nodes: int) -> np.ndarray:
@@ -125,12 +114,12 @@ def mechanical_energy(profile: DeflectionProfile, beta: float, tau: float, alpha
     """Beam energy (beta/2)||u''||^2 + (tau/2 + (alpha/4)||u'||^2) ||u'||^2.
 
     ||u''||^2 is the trapezoid rule on squared second differences and
-    ||u'||^2 the cell-midpoint rule on forward differences.
+    ||u'||^2 the cell-midpoint rule on cell slopes.
     """
     h = profile.spacing
     d2 = second_differences(profile)
     w = _trapezoid_weights(d2.size)
-    i1 = grad_sq_norm(profile.u, h)
+    i1 = grad_sq_norm(profile)
     return MechanicalEnergy(
         bending=0.5 * beta * h * float(np.sum(w * d2 * d2)),
         stretching=0.5 * tau * i1,

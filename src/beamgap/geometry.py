@@ -9,6 +9,10 @@ reference rectangle (x, eta) in I x (0, 1) via
 The map's metric enters the transformed elliptic operator through the 2x2
 symmetric coefficient field A_v with unit determinant; it is evaluated at the
 quadrature points of a tensor grid of bilinear cells.
+
+The discrete boundary rule lives in ``DeflectionProfile.padded``: a ghost
+node beyond each wall, +1 (clamped) or -1 (pinned) times the first interior
+value. Every beam difference that reaches a wall is taken on it.
 """
 
 from __future__ import annotations
@@ -42,10 +46,9 @@ class DeflectionProfile:
     """Nodal deflection u on a uniform grid over [-L, L].
 
     The obstacle constraint u >= -H is enforced at construction, as is the
-    vanishing of u at both endpoints. The derivative conditions of the two
-    boundary modes (u' = 0 clamped, u'' = 0 pinned) are realized through the
-    ghost-node conventions of the discrete operators acting on the profile,
-    not as nodewise equalities on the stored values.
+    vanishing of u at both endpoints. The derivative condition of the boundary
+    mode (u' = 0 clamped, u'' = 0 pinned) is the ghost rule of ``padded``, not
+    a nodewise equality on the stored values.
     """
 
     x_nodes: np.ndarray
@@ -95,14 +98,24 @@ class DeflectionProfile:
         """Nodal gap H + u, nonnegative by the obstacle constraint."""
         return self.H + self.u
 
+    @property
+    def ghost_sign(self) -> float:
+        """Ghost value over first interior value: +1 clamped (u' = 0), -1 pinned (u'' = 0)."""
+        return 1.0 if self.bc_mode == "clamped" else -1.0
+
+    def padded(self) -> np.ndarray:
+        """u with one ghost node beyond each wall, ghost_sign times its neighbour."""
+        u, s = self.u, self.ghost_sign
+        return np.concatenate(([s * u[1]], u, [s * u[-2]]))
+
+    def cell_slopes(self) -> np.ndarray:
+        """u' on each cell, the forward differences of the nodal values."""
+        return np.diff(self.u) / self.spacing
+
     def slopes(self) -> np.ndarray:
-        """Nodal u' by centered second-order differences, one-sided at the ends."""
-        u, h = self.u, self.spacing
-        s = np.empty_like(u)
-        s[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-        s[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-        s[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-        return s
+        """Nodal u' by central differences of ``padded``: 0 at a clamped wall."""
+        up = self.padded()
+        return (up[2:] - up[:-2]) / (2.0 * self.spacing)
 
     # -- construction helpers
 
@@ -263,7 +276,7 @@ def build_mapped_mesh(profile: DeflectionProfile, component: tuple[int, int], n_
     dx = profile.spacing
 
     gap_nodes = H + u
-    cell_slope = np.diff(u) / dx
+    cell_slope = profile.cell_slopes()[i_lo:i_hi]
 
     eta_nodes = np.linspace(0.0, 1.0, n_eta + 1)
 

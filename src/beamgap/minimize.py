@@ -8,6 +8,8 @@ residual
 
 is preconditioned by the SPD matrix M = beta D4 - coef D2 + A diag(u > k)
 (the exact Hessian of the force-frozen part) to give the step direction.
+D4 and D2 are differences of ``DeflectionProfile.padded``, so the boundary
+rule is the profile's; M folds the same ghost rule into its edge rows.
 Trial points are clamped to the obstacle and accepted by backtracking on
 the penalized energy that ``total_energy`` reports. Its mechanical and
 penalty parts have nodal gradient exactly h (r - g) at interior nodes, so the
@@ -41,6 +43,11 @@ __all__ = [
     "sup_bound_check",
 ]
 
+# backtracking line search: step factor per rejected trial, and rejections
+# allowed before the direction is restricted or the search fails
+_SHRINK = 0.5
+_MAX_BACKTRACKS = 40
+
 
 @dataclass(frozen=True)
 class MinimizeOptions:
@@ -49,8 +56,6 @@ class MinimizeOptions:
     k: float | None = None
     max_iters: int = 100
     step0: float = 1.0
-    shrink: float = 0.5
-    max_backtracks: int = 40
     tol_stationarity: float = 1e-8
     tol_active: float = 1e-8
     n_eta: int = 128
@@ -107,32 +112,25 @@ class MinimizeResult:
 # ------------------------------------------------------- discrete operators
 
 
-def _ghost_extend(u: np.ndarray, bc_mode: str) -> np.ndarray:
-    """Pad with the ghost values that realize the derivative end conditions."""
-    sign = 1.0 if bc_mode == "clamped" else -1.0
-    return np.concatenate(([sign * u[1]], u, [sign * u[-2]]))
-
-
-def _apply_d4(u: np.ndarray, h: float, bc_mode: str) -> np.ndarray:
-    """Fourth difference at the interior nodes, ghost rows eliminated."""
-    ue = _ghost_extend(u, bc_mode)
-    i = np.arange(1, u.size - 1)
-    return (ue[i - 1] - 4.0 * ue[i] + 6.0 * ue[i + 1] - 4.0 * ue[i + 2] + ue[i + 3]) / h**4
+def _apply_d4(profile: DeflectionProfile) -> np.ndarray:
+    """Fourth difference at the interior nodes, on ``profile.padded()``."""
+    up, h = profile.padded(), profile.spacing
+    return (up[:-4] - 4.0 * up[1:-3] + 6.0 * up[2:-2] - 4.0 * up[3:-1] + up[4:]) / h**4
 
 
 def _banded_hessian(
-    n_free: int, h: float, bc_mode: str, beta: float, coef: float, pen_diag: np.ndarray
+    n_free: int, h: float, ghost_sign: float, beta: float, coef: float, pen_diag: np.ndarray
 ) -> np.ndarray:
     """Upper-banded form of M = beta D4 - coef D2 + diag(pen_diag).
 
+    The ghost rule folds ghost_sign * beta / h^4 into the two edge rows.
     Returns the (3, n_free) array consumed by scipy.linalg.solveh_banded;
     SPD for beta > 0, coef >= 0, pen_diag >= 0.
     """
     ab = np.zeros((3, n_free))
     ab[2, :] = 6.0 * beta / h**4 + 2.0 * coef / h**2 + pen_diag
-    edge = 7.0 if bc_mode == "clamped" else 5.0
-    ab[2, 0] += (edge - 6.0) * beta / h**4
-    ab[2, -1] += (edge - 6.0) * beta / h**4
+    ab[2, 0] += ghost_sign * beta / h**4
+    ab[2, -1] += ghost_sign * beta / h**4
     ab[1, 1:] = -4.0 * beta / h**4 - coef / h**2
     ab[0, 2:] = beta / h**4
     return ab
@@ -142,9 +140,9 @@ def _residual_vector(
     profile: DeflectionProfile, constants: ModelConstants, k: float, g: np.ndarray
 ) -> np.ndarray:
     """Interior-node residual r of the discrete variational inequality."""
-    u, h = profile.u, profile.spacing
-    coef = constants.tau + constants.alpha * grad_sq_norm(u, h)
-    r = constants.beta * _apply_d4(u, h, profile.bc_mode)
+    u = profile.u
+    coef = constants.tau + constants.alpha * grad_sq_norm(profile)
+    r = constants.beta * _apply_d4(profile)
     r -= coef * second_differences(profile)[1:-1]
     r += constants.A * np.maximum(u[1:-1] - k, 0.0)
     r += g[1:-1]
@@ -243,9 +241,9 @@ def minimize(
             break
 
         u = profile.u
-        coef = constants.tau + constants.alpha * grad_sq_norm(u, h)
+        coef = constants.tau + constants.alpha * grad_sq_norm(profile)
         pen_diag = constants.A * (u[1:-1] > k).astype(float)
-        ab = _banded_hessian(u.size - 2, h, profile.bc_mode, constants.beta, coef, pen_diag)
+        ab = _banded_hessian(u.size - 2, h, profile.ghost_sign, constants.beta, coef, pen_diag)
         direction = -solveh_banded(ab, r_int)
 
         at_obstacle = u[1:-1] <= -profile.H + opts.tol_active
@@ -263,7 +261,7 @@ def minimize(
                 accepted = True
                 break
             backtracks += 1
-            if backtracks > opts.max_backtracks:
+            if backtracks > _MAX_BACKTRACKS:
                 if not restricted and np.any(at_obstacle):
                     direction = direction.copy()
                     direction[at_obstacle] = 0.0
@@ -274,7 +272,7 @@ def minimize(
                     backtracks = 0
                     continue
                 break
-            step *= opts.shrink
+            step *= _SHRINK
 
         if not accepted:
             status = "line_search_failure"

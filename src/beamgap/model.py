@@ -101,12 +101,9 @@ def sigma_polynomial(coeffs, domain: tuple[float, float] = (-1.0, 1.0)) -> Sigma
 def sigma_tabulated(x, s) -> SigmaProfile:
     """Tabulated permittivity from samples (x, sigma), cubic interpolation.
 
-    Accepts two arrays or a path to a two-column CSV. Derivatives come from
+    Takes two equal-length arrays of at least 4 samples. Derivatives come from
     the interpolating spline.
     """
-    if s is None and isinstance(x, (str, bytes)):
-        data = np.loadtxt(x, delimiter=",", dtype=float)
-        x, s = data[:, 0], data[:, 1]
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     if x.ndim != 1 or x.shape != s.shape or x.size < 4:

@@ -136,7 +136,6 @@ class PotentialField:
     components: tuple[ComponentSolution, ...]
     top_dz: np.ndarray
     bot_val: np.ndarray
-    bot_dx: np.ndarray
     n_eta: int
 
     def psi_on(self, k: int) -> np.ndarray:
@@ -179,18 +178,17 @@ def _bottom_weights(n_x: int, dx: float) -> np.ndarray:
     return w
 
 
-def _h_pullback_gradient(mesh: MappedMesh, model: DielectricModel):
-    """Analytic (d_x, d_eta) of the pulled-back h_v at the quadrature points."""
+def _h_derivatives(mesh: MappedMesh, model: DielectricModel) -> tuple[np.ndarray, np.ndarray]:
+    """(h_x + h_w v', h_z) of the datum h(x, z, v(x)) at the quadrature points.
+
+    The first is the x-derivative of h_v at fixed z. The pulled-back gradient
+    is d_x = that + h_z eta v' and d_eta = h_z (H + v).
+    """
     xq = mesh.x_q
     vq = mesh.gap_q - mesh.H
     zq = mesh.z_q()
-    hx = model.h_x(xq, zq, vq)
-    hz = model.h_z(xq, zq, vq)
-    hw = model.h_w(xq, zq, vq)
-    dxh = hx + hw * mesh.slope_q  # x-derivative of h_v at fixed z
-    b1 = mesh.gap_q * dxh
-    b2 = -mesh.eta_q * mesh.slope_q * dxh + hz
-    return b1, b2
+    dxh = model.h_x(xq, zq, vq) + model.h_w(xq, zq, vq) * mesh.slope_q
+    return dxh, model.h_z(xq, zq, vq)
 
 
 def assemble(
@@ -249,7 +247,9 @@ def assemble(
     ).tocsr()
 
     # load: volume part from the pulled-back gradient of h_v
-    b1, b2 = _h_pullback_gradient(mesh, model)
+    dxh, hz = _h_derivatives(mesh, model)
+    b1 = mesh.gap_q * dxh
+    b2 = -mesh.eta_q * mesh.slope_q * dxh + hz
     b = scatter(-(b1.reshape(-1, 4) @ _DXI * sx + b2.reshape(-1, 4) @ _DZE * se) * jac)
 
     # load: bottom datum
@@ -301,7 +301,6 @@ def solve_potential(
     n = profile.x_nodes.size
     top_dz = np.full(n, np.nan)
     bot_val = np.full(n, np.nan)
-    bot_dx = np.full(n, np.nan)
 
     solutions = []
     for comp in coincidence.components:
@@ -319,17 +318,6 @@ def solve_potential(
         top_dz[i_lo : i_hi + 1] = dtop / mesh.gap_nodes
         bot_val[i_lo : i_hi + 1] = chi[:, 0]
 
-        dxs = mesh.dx
-        dbot = np.empty(mesh.n_x + 1)
-        c0 = chi[:, 0]
-        if c0.size >= 3:
-            dbot[1:-1] = (c0[2:] - c0[:-2]) / (2.0 * dxs)
-            dbot[0] = (-3.0 * c0[0] + 4.0 * c0[1] - c0[2]) / (2.0 * dxs)
-            dbot[-1] = (3.0 * c0[-1] - 4.0 * c0[-2] + c0[-3]) / (2.0 * dxs)
-        else:
-            dbot[:] = (c0[-1] - c0[0]) / (dxs * max(c0.size - 1, 1))
-        bot_dx[i_lo : i_hi + 1] = dbot
-
     return PotentialField(
         model=model,
         profile=profile,
@@ -337,7 +325,6 @@ def solve_potential(
         components=tuple(solutions),
         top_dz=top_dz,
         bot_val=bot_val,
-        bot_dx=bot_dx,
         n_eta=n_eta,
     )
 
@@ -374,14 +361,8 @@ def functional_quadratic_parts(
     corners = _corner_values(theta)  # (n_cells, 4)
     tx = corners @ gx.T  # (n_cells, 4 gauss)
     te = corners @ ge.T
-    # grad of the pulled-back h_v in (x, eta): d_x = h_x + h_w v' + h_z eta v',
-    # d_eta = h_z (H+v)
-    vq = mesh.gap_q - mesh.H
-    zq = mesh.z_q()
-    hx = model.h_x(mesh.x_q, zq, vq)
-    hz = model.h_z(mesh.x_q, zq, vq)
-    hw = model.h_w(mesh.x_q, zq, vq)
-    hhat_x = hx + hw * mesh.slope_q + hz * mesh.eta_q * mesh.slope_q
+    dxh, hz = _h_derivatives(mesh, model)
+    hhat_x = dxh + hz * mesh.eta_q * mesh.slope_q
     hhat_e = hz * mesh.gap_q
 
     wx = tx + hhat_x.reshape(-1, 4)

@@ -78,6 +78,17 @@ def test_invalid_grid_rejected_before_any_solve(tmp_path, monkeypatch, grid):
     assert not out.exists()
 
 
+def test_unknown_bc_mode_rejected_before_any_solve(tmp_path, monkeypatch):
+    calls = count_solves(monkeypatch, ("cli", "minimize", "energy", "force"))
+    path = write_config(tmp_path, {"bc_mode": "free", "grid": {"nx": 16, "neta": 8}})
+    with pytest.raises(cli.ConfigError):
+        cli.load_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
+
+
 def test_missing_verb_exits(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
@@ -93,6 +104,23 @@ def test_kappa0_prints_frozen_constants(tmp_path, capsys):
     assert out["A"] == 24.0
     assert out["G0"] == 3.0
     assert out["kappa0"] == 73.0
+
+
+def test_tabulated_sigma_path_matches_inline(tmp_path, capsys):
+    x = np.linspace(-1.0, 1.0, 9)
+    values = 1.0 + 0.3 * x + 0.2 * x**2
+    csv = tmp_path / "sigma.csv"
+    np.savetxt(csv, np.column_stack([x, values]), delimiter=",")
+    by_path = write_config(tmp_path, {"dielectric": {"sigma": {"kind": "tabulated", "path": str(csv)}}}, "p.json")
+    inline = {"kind": "tabulated", "x": x.tolist(), "values": values.tolist()}
+    by_value = write_config(tmp_path, {"dielectric": {"sigma": inline}}, "i.json")
+
+    assert cli.main(["kappa0", "--config", by_path]) == 0
+    out_path = capsys.readouterr().out
+    assert cli.main(["kappa0", "--config", by_value]) == 0
+    assert out_path == capsys.readouterr().out
+    assert cli.main(["kappa0"]) == 0
+    assert out_path != capsys.readouterr().out  # the tabulated sigma reached the constants
 
 
 # ---------------------------------------------------------------- run verb

@@ -7,7 +7,7 @@ from conftest import random_admissible_profile
 
 from beamgap.force import compute_force, directional_derivative_check
 from beamgap.geometry import DeflectionProfile
-from beamgap.model import make_example_model, make_zero_data_model
+from beamgap.model import make_example_model, make_zero_data_model, sigma_polynomial
 from beamgap.solver import solve_potential
 
 
@@ -28,6 +28,32 @@ def test_flat_profile_force_constant():
         expected = 0.5 * V**2 / 4.0
         assert np.max(np.abs(fp.g - expected)) <= 1e-12
         assert not fp.branch_mask.any()
+
+
+@pytest.mark.parametrize(
+    "bc_mode, V, sigma, n_cells",
+    [
+        ("clamped", 3.0, 1.0, 128),
+        ("clamped", 1.0, [1.0, 0.5, 0.5], 64),
+        ("pinned", 1.0, 1.0, 63),
+        ("pinned", 3.0, [1.0, 0.5, 0.5], 64),
+    ],
+)
+def test_end_force_follows_the_boundary_rule(bc_mode, V, sigma, n_cells):
+    """At a wall u = 0 and chi = 0, so g = (1 + u'^2) V^2 sigma^2 / (2 (1 + sigma H)^2).
+
+    The wall slope is the profile's boundary rule: 0 clamped, +-u_1/h pinned.
+    """
+    sig = sigma_polynomial(sigma) if isinstance(sigma, list) else sigma
+    model = make_example_model(V=V, sigma=sig, H=1.0, K=1.0)
+    u = random_admissible_profile(np.random.default_rng(4), n_cells=n_cells).u
+    p = DeflectionProfile(x_nodes=np.linspace(-1.0, 1.0, n_cells + 1), u=u, bc_mode=bc_mode, H=1.0)
+    g = force_on(p, model).g[[0, -1]]
+    s = model.sigma.value(p.x_nodes[[0, -1]])
+    flat = V**2 * s**2 / (2.0 * (1.0 + s) ** 2)
+    slope_sq = 0.0 if bc_mode == "clamped" else (u[[1, -2]] / p.spacing) ** 2
+    assert abs(u[1]) > 1e-3 and abs(u[-2]) > 1e-3
+    assert np.max(np.abs(g - flat * (1.0 + slope_sq)) / np.abs(g)) <= 1e-14
 
 
 def test_zero_data_force_vanishes():

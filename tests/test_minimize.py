@@ -5,10 +5,12 @@ import pytest
 
 from conftest import count_solves
 
-from beamgap.energy import total_energy
+from beamgap.energy import second_differences, total_energy
 from beamgap.geometry import DeflectionProfile
 from beamgap.minimize import (
     MinimizeOptions,
+    _apply_d4,
+    _banded_hessian,
     _residual_vector,
     minimize,
     sup_bound_check,
@@ -200,3 +202,19 @@ def test_energy_gradient_is_h_times_residual(bc_mode, n_cells):
         fd[i - 1] = (e_pen(up) - e_pen(um)) / (2.0 * step)
     expected = p.spacing * _residual_vector(p, constants, k, g=np.zeros(p.u.size))
     assert np.max(np.abs(fd - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n_cells", [8, 33])
+@pytest.mark.parametrize("bc_mode", ["clamped", "pinned"])
+def test_hessian_folds_the_residual_ghost_rule(bc_mode, n_cells):
+    """The preconditioner's edge rows apply the same ghost rule as the residual's D4 and D2."""
+    rng = np.random.default_rng(n_cells)
+    u = rng.normal(size=n_cells + 1)
+    u[[0, -1]] = 0.0
+    p = DeflectionProfile(x_nodes=np.linspace(-1.0, 1.0, n_cells + 1), u=u, bc_mode=bc_mode, H=10.0)
+    beta, coef, h = 1.3, 0.7, p.spacing
+    ab = _banded_hessian(n_cells - 1, h, p.ghost_sign, beta, coef, pen_diag=np.zeros(n_cells - 1))
+    dense = np.diag(ab[2]) + np.diag(ab[1, 1:], 1) + np.diag(ab[1, 1:], -1)
+    dense += np.diag(ab[0, 2:], 2) + np.diag(ab[0, 2:], -2)
+    expected = beta * _apply_d4(p) - coef * second_differences(p)[1:-1]
+    assert np.max(np.abs(dense @ u[1:-1] - expected)) <= 1e-12 * np.max(np.abs(expected))
