@@ -106,9 +106,9 @@ def _check_keys(section: str, block: dict, allowed: set[str]) -> None:
 def load_config(path: str | os.PathLike | None) -> dict:
     """Read and validate a config, merging it over the defaults.
 
-    Unknown keys at any level raise ConfigError, as do grid sizes the
-    discretization cannot use and physically invalid values (delegated to
-    the module constructors via a dry model build).
+    Unknown keys at any level raise ConfigError, as do grid and descent
+    settings the discretization cannot use and physically invalid values
+    (delegated to the module constructors via a dry model build).
     """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -148,19 +148,43 @@ def load_config(path: str | os.PathLike | None) -> dict:
     _check_grid(cfg["grid"])
 
     try:
-        build_model(cfg)
+        _, constants = build_model(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    _check_minimize(cfg["minimize"], constants.H)
     return cfg
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _check_grid(grid: dict) -> None:
-    """nx: a cell count of at least 4 (5-node profile); neta >= 3."""
-    nx, neta = grid["nx"], grid["neta"]
-    if not isinstance(nx, int) or isinstance(nx, bool) or nx < 4:
+    """nx: a cell count of at least 4 (5-node profile); neta >= 3; gap_threshold null or > 0."""
+    nx, neta, gap = grid["nx"], grid["neta"], grid["gap_threshold"]
+    if not _is_int(nx) or nx < 4:
         raise ConfigError(f"'grid.nx' must be an integer of at least 4, got {nx!r}")
-    if not isinstance(neta, int) or isinstance(neta, bool) or neta < 3:
+    if not _is_int(neta) or neta < 3:
         raise ConfigError(f"'grid.neta' must be an integer of at least 3, got {neta!r}")
+    if gap is not None and not (_is_finite(gap) and gap > 0.0):
+        raise ConfigError(f"'grid.gap_threshold' must be null or a finite positive number, got {gap!r}")
+
+
+def _check_minimize(block: dict, H: float) -> None:
+    """k: "auto" or a number >= H; max_iters: an integer >= 0; tolerances finite and >= 0."""
+    k = block["k"]
+    if k != "auto" and not (_is_finite(k) and k >= H):
+        raise ConfigError(f"'minimize.k' must be \"auto\" or a number of at least H = {H}, got {k!r}")
+    if not _is_int(block["max_iters"]) or block["max_iters"] < 0:
+        raise ConfigError(f"'minimize.max_iters' must be a nonnegative integer, got {block['max_iters']!r}")
+    for name in ("tol_stationarity", "tol_active"):
+        tol = block[name]
+        if not (_is_finite(tol) and tol >= 0.0):
+            raise ConfigError(f"'minimize.{name}' must be a finite nonnegative number, got {tol!r}")
 
 
 def _build_sigma(spec: dict, L: float):
@@ -238,6 +262,11 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _metadata() -> dict:
+    """The run-dependent block; everything outside it is reproducible byte for byte."""
+    return {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "tool": "beamgap"}
+
+
 def _write_profile_csv(path: Path, profile: DeflectionProfile, g: np.ndarray, contact: np.ndarray) -> None:
     lines = ["x,u,g,contact"]
     for xi, ui, gi, ci in zip(profile.x_nodes, profile.u, g, contact):
@@ -260,7 +289,12 @@ def _write_history_csv(path: Path, history) -> None:
 
 
 def run_single(cfg: dict, out_dir: Path, verify: bool = False) -> tuple[int, dict]:
-    """One full pipeline run; returns (exit code, summary dict)."""
+    """One full pipeline run; returns (exit code, summary dict).
+
+    If the descent or a solve raises, run.json is still written, flagged
+    partial with status "error" and the exception, and the exception
+    propagates.
+    """
     model, constants = build_model(cfg)
     grid = cfg["grid"]
     mopts = cfg["minimize"]
@@ -277,13 +311,19 @@ def run_single(cfg: dict, out_dir: Path, verify: bool = False) -> tuple[int, dic
         L=constants.L, H=constants.H, n_cells=int(grid["nx"]), bc_mode=cfg["bc_mode"]
     )
 
-    result = minimize(initial, model, constants, options)
-    profile = result.profile
-    force = compute_force(profile, model, result.field)
+    outputs = cfg["outputs"]
+    try:
+        result = minimize(initial, model, constants, options)
+        profile = result.profile
+        force = compute_force(profile, model, result.field)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        partial = {"k": k, "converged": False, "status": "error", "partial": True, "error": error}
+        _write_json(out_dir / outputs["json"], {**partial, "metadata": _metadata()})
+        raise
     coincidence = result.field.coincidence
     ok_sup, margin = sup_bound_check(profile, constants)
 
-    outputs = cfg["outputs"]
     _write_profile_csv(out_dir / outputs["csv"], profile, force.g, coincidence.contact_mask)
     _write_history_csv(out_dir / outputs["history"], result.history)
 
@@ -328,9 +368,7 @@ def run_single(cfg: dict, out_dir: Path, verify: bool = False) -> tuple[int, dic
             "sigma_bar": model.sigma_bar,
         },
     }
-    payload = dict(summary)
-    payload["metadata"] = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "tool": "beamgap"}
-    _write_json(out_dir / outputs["json"], payload)
+    _write_json(out_dir / outputs["json"], {**summary, "metadata": _metadata()})
 
     if verify:
         verification = run_verification(cfg)
@@ -525,9 +563,7 @@ def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
     verification = run_verification(cfg)
     out = Path(args.out) / "verification.json"
-    payload = dict(verification)
-    payload["metadata"] = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "tool": "beamgap"}
-    _write_json(out, payload)
+    _write_json(out, {**verification, "metadata": _metadata()})
     print(f"verification {'passed' if verification['all_ok'] else 'FAILED'}: {out}")
     return 0 if verification["all_ok"] else 1
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import DeflectionProfile, detect_coincidence
 from .model import DielectricModel, ModelConstants
-from .solver import PotentialField, functional_quadratic_parts, solve_potential
+from .solver import PotentialField, _trapezoid_weights, functional_quadratic_parts, solve_potential
 
 __all__ = [
     "MechanicalEnergy",
@@ -45,14 +45,6 @@ def grad_sq_norm(profile: DeflectionProfile) -> float:
     """||u'||^2 by the cell-midpoint rule, h sum of squared cell slopes."""
     d = profile.cell_slopes()
     return float(profile.spacing * np.sum(d * d))
-
-
-def _trapezoid_weights(n_nodes: int) -> np.ndarray:
-    """Trapezoid weights in units of the spacing: 1/2 at the ends, 1 inside."""
-    w = np.ones(n_nodes)
-    w[0] = 0.5
-    w[-1] = 0.5
-    return w
 
 
 # ---------------------------------------------------------------- reports

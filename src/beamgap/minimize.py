@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .energy import EnergyReport, grad_sq_norm, second_differences, total_energy
-from .force import compute_force, directional_derivative_check
+from .force import compute_force
 from .geometry import DeflectionProfile
 from .model import DielectricModel, ModelConstants
 from .solver import PotentialField, solve_potential
@@ -43,8 +43,9 @@ __all__ = [
     "sup_bound_check",
 ]
 
-# backtracking line search: step factor per rejected trial, and rejections
-# allowed before the direction is restricted or the search fails
+# backtracking line search: first trial step, step factor per rejected
+# trial, and rejections allowed before the search fails
+_STEP0 = 1.0
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 40
 
@@ -55,12 +56,10 @@ class MinimizeOptions:
 
     k: float | None = None
     max_iters: int = 100
-    step0: float = 1.0
     tol_stationarity: float = 1e-8
     tol_active: float = 1e-8
     n_eta: int = 128
     gap_threshold: float | None = None
-    audit_every: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,6 @@ class HistoryRow:
     active_count: int
     step_size: float
     backtracks: int
-    audit_gap: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -205,11 +203,15 @@ def minimize(
     the energy reported once per trial point, so accepted iterates have
     non-increasing discrete energy. The field and report of an accepted point
     serve its force, its history row and, at the end, ``MinimizeResult``:
-    apart from the optional force audit, no profile is solved twice. Returns
-    the last valid state with status 'line_search_failure' if no acceptable
-    step exists at a non-stationary point.
+    no profile is solved twice. The line search has one failure exit: when
+    all _MAX_BACKTRACKS + 1 trial steps of an iteration are rejected, the
+    descent stops and returns the last accepted state with status
+    'line_search_failure'. Raises ValueError for max_iters < 0 or k < H,
+    before any solve.
     """
     opts = options or MinimizeOptions()
+    if opts.max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {opts.max_iters}")
     k = constants.kappa0 if opts.k is None else float(opts.k)
     if k < constants.H:
         raise ValueError(f"penalty level k = {k} is below H = {constants.H}")
@@ -227,9 +229,6 @@ def minimize(
 
     status = "max_iters"
     converged = False
-    iteration = 0
-    residual = _classify(profile, _residual_vector(profile, constants, k, g), opts.tol_active)
-
     for iteration in range(opts.max_iters + 1):
         r_int = _residual_vector(profile, constants, k, g)
         residual = _classify(profile, r_int, opts.tol_active)
@@ -246,35 +245,17 @@ def minimize(
         ab = _banded_hessian(u.size - 2, h, profile.ghost_sign, constants.beta, coef, pen_diag)
         direction = -solveh_banded(ab, r_int)
 
-        at_obstacle = u[1:-1] <= -profile.H + opts.tol_active
-        restricted = False
-        accepted = False
-        step = opts.step0
-        backtracks = 0
+        step = _STEP0
         slack = 1e-12 * (1.0 + abs(report.e_penalized))
-        while True:
+        for backtracks in range(_MAX_BACKTRACKS + 1):
             trial_u = u.copy()
             trial_u[1:-1] = np.maximum(u[1:-1] + step * direction, -profile.H)
             trial = profile.with_values(trial_u)
             trial_report, trial_field = evaluate(trial)
             if trial_report.e_penalized <= report.e_penalized + slack:
-                accepted = True
-                break
-            backtracks += 1
-            if backtracks > _MAX_BACKTRACKS:
-                if not restricted and np.any(at_obstacle):
-                    direction = direction.copy()
-                    direction[at_obstacle] = 0.0
-                    if not np.any(direction):
-                        break
-                    restricted = True
-                    step = opts.step0
-                    backtracks = 0
-                    continue
                 break
             step *= _SHRINK
-
-        if not accepted:
+        else:
             status = "line_search_failure"
             break
 
@@ -282,10 +263,6 @@ def minimize(
         report = trial_report
         field = trial_field
         g = compute_force(profile, model, field).g
-
-        audit_gap = float("nan")
-        if opts.audit_every > 0 and (iteration + 1) % opts.audit_every == 0:
-            audit_gap = _audit_force_consistency(profile, model, opts)
 
         history.append(
             HistoryRow(
@@ -297,7 +274,6 @@ def minimize(
                 active_count=int(np.count_nonzero(residual.active_mask)),
                 step_size=step,
                 backtracks=backtracks,
-                audit_gap=audit_gap,
             )
         )
 
@@ -312,24 +288,3 @@ def minimize(
         status=status,
     )
 
-
-def _audit_force_consistency(
-    profile: DeflectionProfile, model: DielectricModel, opts: MinimizeOptions
-) -> float:
-    """One-sided FD probe of the electrostatic energy against the force pairing.
-
-    Probes along a fixed interior bump direction with a small positive step;
-    returns |FD - int g theta| relative to max(1, |pairing|). The pairing is
-    recomputed from a fresh solve so the probe audits the full chain.
-    """
-    x = profile.x_nodes
-    L = profile.L
-    theta = (1.0 - (x / L) ** 2) ** 2
-    s = 1e-6 * max(1.0, float(np.max(np.abs(profile.u))) + profile.H)
-    if np.any(profile.u + s * theta < -profile.H):
-        return float("nan")
-    rows = directional_derivative_check(
-        profile, theta, model, steps=(s,), n_eta=opts.n_eta, gap_threshold=opts.gap_threshold
-    )
-    row = rows[0]
-    return row.gap / max(1.0, abs(row.pairing))

@@ -34,6 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .geometry import (
+    _GAUSS_1D,
     CoincidenceSet,
     DeflectionProfile,
     MappedMesh,
@@ -52,27 +53,18 @@ __all__ = [
     "max_principle_check",
 ]
 
-# reference bilinear basis: nodes (i,j), (i+1,j), (i+1,j+1), (i,j+1)
-_GP = np.array([-1.0, 1.0]) / np.sqrt(3.0)
-
-
-def _reference_gradients() -> tuple[np.ndarray, np.ndarray]:
-    """Gradient tables (4 Gauss points x 4 basis functions) on [-1, 1]^2.
-
-    Gauss ordering matches geometry.build_mapped_mesh: g = 2*ix + ie with
-    xi = (-a, -a, +a, +a) and zeta = (-a, +a, -a, +a).
-    """
-    xi = np.array([_GP[0], _GP[0], _GP[1], _GP[1]])
-    ze = np.array([_GP[0], _GP[1], _GP[0], _GP[1]])
-    # N = 1/4 (1 + s_x xi)(1 + s_z zeta), signs per corner
-    sx = np.array([-1.0, 1.0, 1.0, -1.0])
-    sz = np.array([-1.0, -1.0, 1.0, 1.0])
-    dxi = 0.25 * sx[None, :] * (1.0 + sz[None, :] * ze[:, None])
-    dze = 0.25 * sz[None, :] * (1.0 + sx[None, :] * xi[:, None])
-    return dxi, dze
-
-
-_DXI, _DZE = _reference_gradients()
+# reference bilinear basis on [-1, 1]^2, N = 1/4 (1 + s_x xi)(1 + s_z zeta)
+# with corner signs for nodes (i,j), (i+1,j), (i+1,j+1), (i,j+1); tables are
+# (4 Gauss points x 4 basis functions), the Gauss points ordered as in
+# geometry.build_mapped_mesh: g = 2*ix + ie, xi = (-a, -a, +a, +a) and
+# zeta = (-a, +a, -a, +a)
+_XI = _GAUSS_1D[[0, 0, 1, 1]][:, None]
+_ZE = _GAUSS_1D[[0, 1, 0, 1]][:, None]
+_SX = np.array([-1.0, 1.0, 1.0, -1.0])
+_SZ = np.array([-1.0, -1.0, 1.0, 1.0])
+_DXI = 0.25 * _SX * (1.0 + _SZ * _ZE)
+_DZE = 0.25 * _SZ * (1.0 + _SX * _XI)
+_NVAL = 0.25 * (1.0 + _SX * _XI) * (1.0 + _SZ * _ZE)
 
 
 def _outer_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -84,17 +76,6 @@ def _outer_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 _T11 = _outer_table(_DXI, _DXI)
 _T12 = _outer_table(_DXI, _DZE) + _outer_table(_DZE, _DXI)
 _T22 = _outer_table(_DZE, _DZE)
-
-
-def _basis_values() -> np.ndarray:
-    xi = np.array([_GP[0], _GP[0], _GP[1], _GP[1]])
-    ze = np.array([_GP[0], _GP[1], _GP[0], _GP[1]])
-    sx = np.array([-1.0, 1.0, 1.0, -1.0])
-    sz = np.array([-1.0, -1.0, 1.0, 1.0])
-    return 0.25 * (1.0 + sx[None, :] * xi[:, None]) * (1.0 + sz[None, :] * ze[:, None])
-
-
-_NVAL = _basis_values()
 
 
 @dataclass(frozen=True)
@@ -171,10 +152,11 @@ class MaxPrincipleReport:
 # ---------------------------------------------------------------- assembly
 
 
-def _bottom_weights(n_x: int, dx: float) -> np.ndarray:
-    w = np.full(n_x + 1, dx)
-    w[0] = 0.5 * dx
-    w[-1] = 0.5 * dx
+def _trapezoid_weights(n_nodes: int) -> np.ndarray:
+    """Trapezoid weights in units of the spacing: 1/2 at the ends, 1 inside."""
+    w = np.ones(n_nodes)
+    w[0] = 0.5
+    w[-1] = 0.5
     return w
 
 
@@ -223,7 +205,9 @@ def assemble(
     live = corners.reshape(-1) >= 0
 
     def scatter(cell_vals: np.ndarray) -> np.ndarray:
-        return np.bincount(corners.reshape(-1)[live], weights=cell_vals.reshape(-1)[live], minlength=n_free)
+        # float also when no weight is kept: a one-cell component has no free node
+        kept = np.bincount(corners.reshape(-1)[live], weights=cell_vals.reshape(-1)[live], minlength=n_free)
+        return kept.astype(float, copy=False)
 
     k_all = (
         mesh.a11.reshape(-1, 4) @ (_T11 * (jac * sx * sx))
@@ -236,7 +220,7 @@ def assemble(
 
     # lumped Robin mass on eta = 0, at the free bottom nodes
     bottom = dof[1:-1, 0]
-    w_bot = _bottom_weights(n_x, dx)[1:-1]
+    w_bot = dx * _trapezoid_weights(n_x + 1)[1:-1]
     sig = model.sigma.value(mesh.x_nodes)[1:-1]
     mat = sp.coo_matrix(
         (
@@ -287,7 +271,6 @@ def solve_potential(
     n_eta: int = 128,
     gap_threshold: float | None = None,
     source=None,
-    coincidence: CoincidenceSet | None = None,
 ) -> PotentialField:
     """Solve chi_v component by component and extract the boundary traces.
 
@@ -295,15 +278,23 @@ def solve_potential(
     vertical cell count of each mapped rectangle. Contact nodes carry NaN in
     the returned traces. ``source`` is the optional manufactured volume load
     f(x, z) used by convergence studies.
+
+    A component of one cell has no free node and a component of one node
+    (a wall node beside contact) no area: chi = 0 on both, and their traces
+    are 0, as on every lateral edge. The one-node component gets no entry in
+    ``components``.
     """
-    if coincidence is None:
-        coincidence = detect_coincidence(profile, gap_threshold)
+    coincidence = detect_coincidence(profile, gap_threshold)
     n = profile.x_nodes.size
     top_dz = np.full(n, np.nan)
     bot_val = np.full(n, np.nan)
 
     solutions = []
     for comp in coincidence.components:
+        i_lo, i_hi = comp
+        if i_lo == i_hi:
+            top_dz[i_lo] = bot_val[i_lo] = 0.0
+            continue
         mesh = build_mapped_mesh(profile, comp, n_eta)
         system = assemble(mesh, model, profile, source=source)
         x, res = _solve_system(system)
@@ -311,7 +302,6 @@ def solve_potential(
         chi.reshape(-1)[system.free_nodes] = x
         solutions.append(ComponentSolution(mesh=mesh, chi=chi, residual=res))
 
-        i_lo, i_hi = comp
         de = mesh.deta
         # one-sided 3-point eta-derivative at the top (chi = 0 there)
         dtop = (3.0 * chi[:, -1] - 4.0 * chi[:, -2] + chi[:, -3]) / (2.0 * de)
@@ -372,7 +362,7 @@ def functional_quadratic_parts(
     a22 = mesh.a22.reshape(-1, 4)
     field = 0.5 * jac * float(np.sum(a11 * wx * wx + 2.0 * a12 * wx * we + a22 * we * we))
 
-    w_bot = _bottom_weights(n_x, dx)
+    w_bot = dx * _trapezoid_weights(n_x + 1)
     sig = model.sigma.value(mesh.x_nodes)
     v_bot = mesh.gap_nodes - mesh.H
     trace = theta[:, 0] + model.h(mesh.x_nodes, -mesh.H, v_bot) - model.frak_h(mesh.x_nodes, v_bot)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 from conftest import count_solves
 
 from beamgap import cli
+
+minimize_module = importlib.import_module("beamgap.minimize")  # the package re-exports the function
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -62,15 +65,27 @@ def test_unknown_sigma_kind_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "grid",
-    [{"nx": 64, "neta": 2}, {"nx": 2, "neta": 32}, {"nx": 64.0, "neta": 32}],
+    "payload",
+    [
+        {"grid": {"nx": 64, "neta": 2}},
+        {"grid": {"nx": 2, "neta": 32}},
+        {"grid": {"nx": 64.0, "neta": 32}},
+        {"grid": {"gap_threshold": -1.0}},
+        {"minimize": {"k": 0.5}},
+        {"minimize": {"max_iters": -1}},
+        {"minimize": {"max_iters": "ten"}},
+        {"minimize": {"tol_stationarity": -1.0}},
+    ],
+    ids=["grid0", "grid1", "grid2", "gap_threshold", "k_below_H", "max_iters_negative", "max_iters_str", "tol_negative"],
 )
-def test_invalid_grid_rejected_before_any_solve(tmp_path, monkeypatch, grid):
+def test_invalid_grid_rejected_before_any_solve(tmp_path, monkeypatch, payload):
+    """Invalid grid and descent settings exit 2 before any solve and write nothing."""
+
     def no_solve(*args, **kwargs):
-        raise AssertionError("an invalid grid must be rejected before any solve")
+        raise AssertionError("an invalid config must be rejected before any solve")
 
     monkeypatch.setattr(cli, "minimize", no_solve)
-    path = write_config(tmp_path, {"grid": grid})
+    path = write_config(tmp_path, payload)
     with pytest.raises(cli.ConfigError):
         cli.load_config(path)
     out = tmp_path / "out"
@@ -182,6 +197,31 @@ def test_run_single_adds_no_solve(tmp_path, monkeypatch):
     backtracks = sum(int(row.split(",")[-1]) for row in rows)
     assert len(calls) == len(rows) + 1 + backtracks
     assert len({p.u.tobytes() for p in calls}) == len(calls)
+
+
+def test_runtime_error_leaves_partial_run_json(tmp_path, monkeypatch, capsys):
+    """A solve that raises mid-descent still leaves run.json, flagged partial; the error reaches main (exit 1)."""
+    original = minimize_module.solve_potential
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise RuntimeError("solver broke")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(minimize_module, "solve_potential", failing)
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "RuntimeError: solver broke" in capsys.readouterr().err
+
+    summary = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    assert summary["partial"] is True
+    assert summary["converged"] is False
+    assert summary["status"] == "error"
+    assert summary["error"] == "RuntimeError: solver broke"
+    assert "metadata" in summary
 
 
 def test_flags_accepted_before_verb(tmp_path):

@@ -8,6 +8,7 @@ from conftest import count_solves
 from beamgap.energy import second_differences, total_energy
 from beamgap.geometry import DeflectionProfile
 from beamgap.minimize import (
+    _MAX_BACKTRACKS,
     MinimizeOptions,
     _apply_d4,
     _banded_hessian,
@@ -145,28 +146,33 @@ def test_penalty_below_obstacle_rejected():
         vi_residual(initial, model, constants, k=0.5, n_eta=16)
 
 
-def test_audit_hook_records_gap():
+def test_negative_max_iters_rejected_before_any_solve(monkeypatch):
     model, constants, initial = small_setup(0.1)
-    res = minimize(initial, model, constants, MinimizeOptions(n_eta=16, audit_every=1))
-    audited = [row.audit_gap for row in res.history if not np.isnan(row.audit_gap)]
-    assert audited, "audit_every=1 should record at least one probe"
-    assert all(gap < 1e-3 for gap in audited)
+    calls = count_solves(monkeypatch, ("minimize",))
+    with pytest.raises(ValueError, match="max_iters"):
+        minimize(initial, model, constants, MinimizeOptions(max_iters=-1, n_eta=16))
+    assert calls == []
 
 
 # ---------------------------------------------------------------- solve count
 
 
-@pytest.mark.parametrize("step0", [1.0, 4.0])
-def test_each_trial_point_solved_once(monkeypatch, step0):
-    """One solve for the start and one per trial point; the result reuses the last."""
-    model, constants, initial = small_setup(0.5)
+@pytest.mark.parametrize("V", [0.5, 20.0])
+def test_each_trial_point_solved_once(monkeypatch, V):
+    """One solve for the start and one per trial point; the result reuses the last.
+
+    V = 20 touches down, backtracks and ends in a failed line search, whose
+    _MAX_BACKTRACKS + 1 rejected trials leave no history row.
+    """
+    model, constants, initial = small_setup(V)
     calls = count_solves(monkeypatch, ("minimize",))
-    # step0 = 4 overshoots and backtracks once per iteration without converging
-    res = minimize(initial, model, constants, MinimizeOptions(n_eta=32, step0=step0, max_iters=5))
+    res = minimize(initial, model, constants, MinimizeOptions(n_eta=32, max_iters=5))
     backtracks = sum(row.backtracks for row in res.history)
-    assert res.converged == (step0 == 1.0)
-    assert (backtracks > 0) == (step0 == 4.0)
-    assert len(calls) == len(res.history) + 1 + backtracks
+    failed = res.status == "line_search_failure"
+    assert res.converged == (V == 0.5)
+    assert failed == (V == 20.0)
+    assert (backtracks > 0) == (V == 20.0)
+    assert len(calls) == 1 + len(res.history) + backtracks + (_MAX_BACKTRACKS + 1) * failed
     assert len({p.u.tobytes() for p in calls}) == len(calls)
     assert res.field.profile is res.profile
 

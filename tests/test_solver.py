@@ -6,6 +6,8 @@ from scipy.sparse.linalg import spsolve
 
 from conftest import random_admissible_profile
 
+from beamgap.energy import electrostatic_energy
+from beamgap.force import compute_force
 from beamgap.geometry import DeflectionProfile, build_mapped_mesh, detect_coincidence
 from beamgap.model import make_example_model, sigma_polynomial
 from beamgap.solver import (
@@ -175,3 +177,29 @@ def test_contact_profile_nan_traces(unit_model):
     assert np.all(np.isnan(field.bot_val[cs.contact_mask]))
     assert np.all(np.isfinite(field.top_dz[~cs.contact_mask]))
     assert np.all(np.isfinite(field.bot_val[~cs.contact_mask]))
+
+
+@pytest.mark.parametrize("u1", [-1.0, -0.5])
+def test_short_wall_component_has_zero_chi(unit_model, u1):
+    """A wall run of one node (u[1] = -H) or of one cell beside contact carries chi = 0.
+
+    Its traces are 0, as on every lateral edge. With u[1] = -H no field area is
+    left, and E_e is the contact term alone: -sigma V^2 L = -1.
+    """
+    u = np.full(17, -1.0)
+    u[[0, -1]] = 0.0
+    u[1] = u1
+    p = DeflectionProfile(x_nodes=np.linspace(-1.0, 1.0, 17), u=u, bc_mode="clamped", H=1.0)
+    field = solve_potential(p, unit_model, n_eta=8)
+    wall = field.coincidence.components[0]
+    assert wall == (0, 0 if u1 == -1.0 else 1)
+    assert np.all(field.top_dz[: wall[1] + 1] == 0.0)
+    assert np.all(field.bot_val[: wall[1] + 1] == 0.0)
+    assert all(np.all(c.chi == 0.0) for c in field.components)
+
+    e_e = electrostatic_energy(p, unit_model, n_eta=8).total
+    g = compute_force(p, unit_model, field).g
+    assert np.isfinite(e_e)
+    assert np.all(np.isfinite(g))
+    if u1 == -1.0:
+        assert e_e == pytest.approx(-1.0, rel=1e-14)
