@@ -137,7 +137,12 @@ def load_config(path: str | os.PathLike | None) -> dict:
                 raise ConfigError(f"'{section}' must be an object")
             _check_keys(section, value, _SECTION_KEYS[section])
             cfg[section].update(value)
+    _check_values(cfg)
+    return cfg
 
+
+def _check_values(cfg: dict) -> None:
+    """Checks on a merged config: sigma spec, grid, a dry model build, descent settings."""
     sigma_spec = cfg["dielectric"]["sigma"]
     if not isinstance(sigma_spec, dict) or "kind" not in sigma_spec:
         raise ConfigError("'dielectric.sigma' must be an object with a 'kind'")
@@ -152,7 +157,6 @@ def load_config(path: str | os.PathLike | None) -> dict:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     _check_minimize(cfg["minimize"], constants.H)
-    return cfg
 
 
 def _is_int(value) -> bool:
@@ -350,6 +354,7 @@ def run_single(cfg: dict, out_dir: Path, verify: bool = False) -> tuple[int, dic
             "stationarity": result.residual.stationarity,
             "complementarity": result.residual.complementarity,
             "active_count": int(np.count_nonzero(result.residual.active_mask)),
+            "linear_max": max((c.residual for c in result.field.components), default=0.0),
         },
         "profile": {
             "min_u": float(np.min(profile.u)),
@@ -502,7 +507,11 @@ def _get_dotted(cfg: dict, dotted: str):
 
 
 def run_sweep(cfg: dict, out_dir: Path, max_workers: int | None = None) -> tuple[int, list[dict]]:
-    """Run the config once per sweep value; one artifact directory per value."""
+    """Run the config once per sweep value; one artifact directory per value.
+
+    Every swept config passes the checks of ``load_config`` before the pool
+    starts, so an invalid value raises ConfigError before any solve.
+    """
     sweep = cfg.get("sweep")
     if not sweep:
         raise ConfigError("config has no 'sweep' block")
@@ -516,6 +525,10 @@ def run_sweep(cfg: dict, out_dir: Path, max_workers: int | None = None) -> tuple
         sub = copy.deepcopy(cfg)
         sub["sweep"] = None
         _set_dotted(sub, parameter, value)
+        try:
+            _check_values(sub)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep value {value!r} of {parameter!r}: {exc}") from exc
         jobs.append((i, sub, str(out_dir / f"value_{i}"), parameter))
 
     rows: list[dict] = []

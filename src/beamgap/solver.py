@@ -19,14 +19,20 @@ mass on the bottom edge. The same quadratures are reused by the energy module
 so that the discrete electrostatic energy is exactly the negative of the
 minimized discrete functional.
 
-Linear solve: one path for every system size. The reduced SPD system is
-factored by SuperLU with the MMD_AT_PLUS_A ordering (minimum degree on the
-symmetric pattern A + A^T), solved once, and the factor is dropped; there is
-no iterative fallback.
+Linear solve: one path for every system size. Assembly numbers the free
+nodes of each component in nested-dissection order (George 1973; Lipton,
+Rose & Tarjan 1979): the (n_x-1) x n_eta node grid is bisected across its
+longer side by one line of nodes, recursively down to blocks of at most 2x2
+nodes, and each separator line is numbered after its two halves. The order
+depends on the grid shape alone and is computed once per shape. The matrix
+comes out of the scatter already in that order, so SuperLU factors it with
+the NATURAL column order and no pivoting (the system is SPD), solves once,
+and drops the factor; there is no iterative fallback.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +86,11 @@ _T22 = _outer_table(_DZE, _DZE)
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Reduced SPD system for one component: matrix, rhs, and the dof map."""
+    """Reduced SPD system for one component: matrix, rhs, and the dof map.
+
+    ``free_nodes`` is the node index of each dof, in dissection order: dof d
+    is node ``free_nodes[d]`` of the row-major (n_x+1, n_eta+1) grid.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -160,6 +170,40 @@ def _trapezoid_weights(n_nodes: int) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=8)
+def _dissection_order(n_rows: int, n_cols: int) -> np.ndarray:
+    """Nested-dissection elimination order of an n_rows x n_cols node grid.
+
+    Entry k is the row-major index of the node eliminated k-th. A block is
+    bisected across its longer side (rows on a tie) by its middle line of
+    nodes, which is numbered after the two halves; blocks of at most 2x2
+    nodes are leaves. A block's order depends on its shape alone, so each
+    shape met in the recursion is ordered once. Cached per grid shape and
+    returned read-only.
+    """
+    memo: dict[tuple[int, int], np.ndarray] = {}
+
+    def block(rows: int, cols: int) -> np.ndarray:
+        """Row-major index of each node of a rows x cols block, in elimination order."""
+        if (rows, cols) not in memo:
+            if cols > rows:
+                t = block(cols, rows)  # of the transposed block
+                order = (t % rows) * cols + t // rows
+            elif rows <= 2:
+                order = np.arange(rows * cols)
+            else:
+                mid = rows // 2
+                order = np.concatenate(
+                    [block(mid, cols), block(rows - mid - 1, cols) + (mid + 1) * cols, mid * cols + np.arange(cols)]
+                )
+            memo[rows, cols] = order
+        return memo[rows, cols]
+
+    order = block(n_rows, n_cols)
+    order.flags.writeable = False
+    return order
+
+
 def _h_derivatives(mesh: MappedMesh, model: DielectricModel) -> tuple[np.ndarray, np.ndarray]:
     """(h_x + h_w v', h_z) of the datum h(x, z, v(x)) at the quadrature points.
 
@@ -196,11 +240,15 @@ def assemble(
     jac = dx * de / 4.0
     sx, se = 2.0 / dx, 2.0 / de
 
-    # free-node numbering in node order; the Dirichlet nodes (top row and
-    # lateral columns, chi = 0) map to -1 and drop out of every scatter
+    # free nodes numbered in dissection order, so every scatter below builds
+    # the system already permuted; the Dirichlet nodes (top row and lateral
+    # columns, chi = 0) map to -1 and drop out of every scatter
+    order = _dissection_order(n_x - 1, n_eta)
+    n_free = order.size
+    rank = np.empty(n_free, dtype=np.intp)
+    rank[order] = np.arange(n_free)
     dof = np.full((n_x + 1, n_eta + 1), -1)
-    dof[1:-1, :-1] = np.arange((n_x - 1) * n_eta).reshape(n_x - 1, n_eta)
-    n_free = (n_x - 1) * n_eta
+    dof[1:-1, :-1] = rank.reshape(n_x - 1, n_eta)
     corners = _corner_values(dof)  # (n_cells, 4), cells ordered (ix, ie) row-major
     live = corners.reshape(-1) >= 0
 
@@ -248,18 +296,24 @@ def assemble(
     return LinearSystem(
         matrix=mat,
         rhs=b,
-        free_nodes=np.flatnonzero(dof.reshape(-1) >= 0),
+        free_nodes=np.arange(dof.size).reshape(dof.shape)[1:-1, :-1].reshape(-1)[order],
         n_x=n_x,
         n_eta=n_eta,
     )
 
 
 def _solve_system(system: LinearSystem) -> tuple[np.ndarray, float]:
-    """SuperLU solve of the reduced system; returns (x, relative residual)."""
+    """SuperLU solve of the reduced system; returns (x, relative residual).
+
+    The dofs are already in dissection order, so SuperLU keeps it (NATURAL)
+    and, the system being SPD, pivots on the diagonal with rows following
+    the columns.
+    """
     a, b = system.matrix, system.rhs
     if a.shape[0] == 0:
         return np.zeros(0), 0.0
-    x = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+    lu = splu(a.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    x = lu.solve(b)
     b_norm = float(np.linalg.norm(b))
     res = float(np.linalg.norm(a @ x - b)) / b_norm if b_norm > 0.0 else 0.0
     return x, res

@@ -170,6 +170,14 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert len(history) >= 2
 
 
+def test_default_run_reports_linear_residual(tmp_path):
+    """run.json carries the largest relative residual of the final profile's linear solves."""
+    out = tmp_path / "out"
+    assert cli.main(["run", "--out", str(out)]) == 0
+    residual = json.loads((out / "run.json").read_text(encoding="utf-8"))["residual"]
+    assert 0.0 < residual["linear_max"] <= 1e-10
+
+
 def test_odd_cell_count_runs(tmp_path):
     """An odd nx converges to a mirror-symmetric profile; run.json reports the minimized energy."""
     cfg = write_config(tmp_path, {"dielectric": {"V": 0.5, "K": 1.0}, "grid": {"nx": 63, "neta": 16}})
@@ -284,6 +292,27 @@ def test_sweep_unknown_parameter(tmp_path):
     payload["sweep"] = {"parameter": "dielectric.volts", "values": [0.1]}
     cfg = write_config(tmp_path, payload)
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize(
+    ("parameter", "value"),
+    [("minimize.k", 0.5), ("grid.nx", 2)],
+    ids=["k_below_H", "nx_too_small"],
+)
+def test_sweep_rejects_invalid_value_before_any_solve(tmp_path, monkeypatch, parameter, value):
+    """A swept value that load_config would refuse exits 2 before the pool starts and writes nothing."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an invalid sweep value must be rejected before the pool starts")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    payload = {"grid": {"nx": 16, "neta": 8}, "sweep": {"parameter": parameter, "values": [value]}}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "sweep"
+    with pytest.raises(cli.ConfigError, match="sweep value"):
+        cli.run_sweep(cli.load_config(cfg), out)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- determinism

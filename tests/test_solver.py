@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from conftest import random_admissible_profile
 
+from beamgap import solver
 from beamgap.energy import electrostatic_energy
 from beamgap.force import compute_force
 from beamgap.geometry import DeflectionProfile, build_mapped_mesh, detect_coincidence
 from beamgap.model import make_example_model, sigma_polynomial
 from beamgap.solver import (
+    _dissection_order,
+    _solve_system,
     assemble,
     functional_dual,
     functional_quadratic,
@@ -40,6 +43,36 @@ def test_assemble_rejects_mismatched_H(unit_model):
     mesh = build_mapped_mesh(p, (0, 16), n_eta=8)
     with pytest.raises(ValueError):
         assemble(mesh, unit_model, p)
+
+
+@pytest.mark.parametrize("shape", [(0, 8), (1, 5), (5, 1), (40, 3), (127, 64)])
+def test_dissection_order_is_a_permutation(shape):
+    order = _dissection_order(*shape)
+    assert np.array_equal(np.sort(order), np.arange(shape[0] * shape[1]))
+    assert not order.flags.writeable
+
+
+def test_dissection_order_fills_no_more_than_minimum_degree(unit_model, monkeypatch):
+    """The factor the solver makes of the 128x64 bump system is no denser than
+    SuperLU's MMD_AT_PLUS_A factor of the same matrix in node order, and the
+    two solutions agree."""
+    p = bump(128)
+    mesh = build_mapped_mesh(p, (0, 128), n_eta=64)
+    system = assemble(mesh, unit_model, p)
+    factors = []
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(solver, "splu", recording_splu)
+    x, res = _solve_system(system)
+    (nd,) = factors
+    by_node = np.argsort(system.free_nodes)
+    mmd = splu(system.matrix[by_node][:, by_node].tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert nd.L.nnz + nd.U.nnz <= mmd.L.nnz + mmd.U.nnz
+    assert np.max(np.abs(x - mmd.solve(system.rhs[by_node])[np.argsort(by_node)])) <= 1e-10 * np.max(np.abs(x))
+    assert res <= 1e-12
 
 
 # ---------------------------------------------------------------- exact solves
