@@ -199,8 +199,8 @@ def _build_sigma(spec: dict, L: float):
         return sigma_polynomial(spec["coeffs"], domain=(-L, L))
     if "path" in spec:
         data = np.loadtxt(spec["path"], delimiter=",", dtype=float)
-        return sigma_tabulated(data[:, 0], data[:, 1])
-    return sigma_tabulated(spec["x"], spec["values"])
+        return sigma_tabulated(data[:, 0], data[:, 1], domain=(-L, L))
+    return sigma_tabulated(spec["x"], spec["values"], domain=(-L, L))
 
 
 def build_model(cfg: dict) -> tuple[DielectricModel, ModelConstants]:

@@ -157,7 +157,7 @@ def electrostatic_energy(
     field_term = 0.0
     boundary_term = 0.0
     for comp in field.components:
-        f_part, b_part = functional_quadratic_parts(comp.mesh, model, comp.chi)
+        f_part, b_part = functional_quadratic_parts(comp.mesh, comp.datum, comp.chi)
         field_term += f_part
         boundary_term += b_part
     boundary_term += _contact_boundary_term(profile, model, field)

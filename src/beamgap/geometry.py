@@ -7,8 +7,12 @@ reference rectangle (x, eta) in I x (0, 1) via
     (x, eta)  ->  (x, -H + eta (H + v(x))).
 
 The map's metric enters the transformed elliptic operator through the 2x2
-symmetric coefficient field A_v with unit determinant; it is evaluated at the
-quadrature points of a tensor grid of bilinear cells.
+symmetric coefficient field A_v with unit determinant. The map factors by
+axis: the gap G = H + v and the slope S = v' depend on x alone, and A_v is
+G, -eta S and 1/G + eta^2 S^2/G. So ``MappedMesh`` stores the map per axis
+(x-Gauss points with G at them, cell slopes, eta-Gauss points) and forms
+every quadrature-point quantity as a broadcast over the tensor grid of 2x2
+Gauss points per bilinear cell; it holds no array of n_x n_eta entries.
 
 The discrete boundary rule lives in ``DeflectionProfile.padded``: a ghost
 node beyond each wall, +1 (clamped) or -1 (pinned) times the first interior
@@ -215,11 +219,20 @@ def detect_coincidence(profile: DeflectionProfile, gap_threshold: float | None =
 class MappedMesh:
     """Tensor mesh of one non-contact component pulled back to the rectangle.
 
-    Cell quadrature uses 2x2 Gauss points; the metric coefficients a11, a12,
-    a22 and the map data (x, eta, gap, slope at the quadrature points) are
-    stored as arrays of shape (n_x, n_eta, 4). The deflection is interpolated
-    linearly within each cell and its slope is the cell slope, so the stored
-    map is exactly the piecewise-linear-graph geometry.
+    The graph map factors by axis, so the mesh stores it per axis: the
+    x-Gauss points and the gap G = H + v at them (shape (n_x, 2)), the cell
+    slopes S = v' (shape (n_x,)) and the eta-Gauss points (shape (n_eta, 2)),
+    two Gauss points per cell along each axis. No array of the mesh has
+    n_x n_eta entries. The quadrature-point quantities are broadcasts over
+    the grid (n_x, 2, n_eta, 2) of (x cell, x Gauss point, eta cell, eta
+    Gauss point): ``x_q``, ``gap_q`` and ``slope_q`` have shape
+    (n_x, 2 or 1, 1, 1), ``eta_q`` (1, 1, n_eta, 2), and the metric
+
+        a11 = G,   a12 = -eta S,   a22 = 1/G + eta^2 S^2 / G
+
+    is formed from them on demand. The deflection is interpolated linearly
+    within each cell and its slope is the cell slope, so the stored map is
+    exactly the piecewise-linear-graph geometry.
     """
 
     node_span: tuple[int, int]
@@ -227,13 +240,10 @@ class MappedMesh:
     x_nodes: np.ndarray
     eta_nodes: np.ndarray
     gap_nodes: np.ndarray
-    x_q: np.ndarray
-    eta_q: np.ndarray
-    gap_q: np.ndarray
-    slope_q: np.ndarray
-    a11: np.ndarray
-    a12: np.ndarray
-    a22: np.ndarray
+    x_gauss: np.ndarray
+    gap_gauss: np.ndarray
+    slope: np.ndarray
+    eta_gauss: np.ndarray
 
     @property
     def n_x(self) -> int:
@@ -251,13 +261,43 @@ class MappedMesh:
     def deta(self) -> float:
         return float(self.eta_nodes[1] - self.eta_nodes[0])
 
+    # -- quadrature-point views, broadcastable to (n_x, 2, n_eta, 2)
+
+    @property
+    def x_q(self) -> np.ndarray:
+        return self.x_gauss[:, :, None, None]
+
+    @property
+    def gap_q(self) -> np.ndarray:
+        return self.gap_gauss[:, :, None, None]
+
+    @property
+    def slope_q(self) -> np.ndarray:
+        return self.slope[:, None, None, None]
+
+    @property
+    def eta_q(self) -> np.ndarray:
+        return self.eta_gauss[None, None, :, :]
+
+    @property
+    def a11(self) -> np.ndarray:
+        return self.gap_q
+
+    @property
+    def a12(self) -> np.ndarray:
+        return -self.eta_q * self.slope_q
+
+    @property
+    def a22(self) -> np.ndarray:
+        return 1.0 / self.gap_q + self.eta_q**2 * (self.slope_q**2 / self.gap_q)
+
     def z_q(self) -> np.ndarray:
         """Physical height of the quadrature points, z = -H + eta (H + v)."""
         return -self.H + self.eta_q * self.gap_q
 
 
 def build_mapped_mesh(profile: DeflectionProfile, component: tuple[int, int], n_eta: int) -> MappedMesh:
-    """Assemble quadrature-point metric data for one non-contact component.
+    """Per-axis map data for one non-contact component.
 
     ``component`` is an inclusive node-index pair from detect_coincidence.
     Fails if the interpolated gap is nonpositive at any quadrature point
@@ -272,51 +312,23 @@ def build_mapped_mesh(profile: DeflectionProfile, component: tuple[int, int], n_
     x = profile.x_nodes[i_lo : i_hi + 1]
     u = profile.u[i_lo : i_hi + 1]
     H = profile.H
-    n_x = x.size - 1
     dx = profile.spacing
-
-    gap_nodes = H + u
-    cell_slope = profile.cell_slopes()[i_lo:i_hi]
-
     eta_nodes = np.linspace(0.0, 1.0, n_eta + 1)
 
-    # quadrature points: 2 per axis per cell -> 4 per cell, shape (n_x, n_eta, 4)
+    # two Gauss points per cell along each axis; u is linear within a cell
     gx = 0.5 * (1.0 + _GAUSS_1D)  # offsets within a cell, in (0, 1)
-    xq_1d = (x[:-1, None] + dx * gx[None, :]).reshape(-1)  # (n_x * 2,)
-    eq_1d = (eta_nodes[:-1, None] + (eta_nodes[1] - eta_nodes[0]) * gx[None, :]).reshape(-1)
-
-    # linear interpolation of u and cellwise-constant slope at the x Gauss points
-    u_q1 = (u[:-1, None] * (1.0 - gx)[None, :] + u[1:, None] * gx[None, :]).reshape(-1)
-    vp_q1 = np.repeat(cell_slope, 2)
-
-    Xq = np.broadcast_to(xq_1d[:, None], (xq_1d.size, eq_1d.size))
-    Eq = np.broadcast_to(eq_1d[None, :], (xq_1d.size, eq_1d.size))
-    Gq = np.broadcast_to((H + u_q1)[:, None], Xq.shape)
-    Sq = np.broadcast_to(vp_q1[:, None], Xq.shape)
-
-    if np.any(Gq <= 0.0):
+    gap_gauss = H + (u[:-1, None] * (1.0 - gx) + u[1:, None] * gx)
+    if np.any(gap_gauss <= 0.0):
         raise ValueError("quadrature gap nonpositive; the graph map is singular on this component")
-
-    a11 = Gq.copy()
-    a12 = -Eq * Sq
-    a22 = (1.0 + Eq**2 * Sq**2) / Gq
-
-    def cellview(arr_2d: np.ndarray) -> np.ndarray:
-        # (2 n_x, 2 n_eta) -> (n_x, n_eta, 4) with the 4 Gauss points per cell
-        a = arr_2d.reshape(n_x, 2, n_eta, 2)
-        return np.ascontiguousarray(a.transpose(0, 2, 1, 3).reshape(n_x, n_eta, 4))
 
     return MappedMesh(
         node_span=(i_lo, i_hi),
         H=H,
         x_nodes=x.copy(),
         eta_nodes=eta_nodes,
-        gap_nodes=gap_nodes,
-        x_q=cellview(np.ascontiguousarray(Xq)),
-        eta_q=cellview(np.ascontiguousarray(Eq)),
-        gap_q=cellview(np.ascontiguousarray(Gq)),
-        slope_q=cellview(np.ascontiguousarray(Sq)),
-        a11=cellview(a11),
-        a12=cellview(a12),
-        a22=cellview(a22),
+        gap_nodes=H + u,
+        x_gauss=x[:-1, None] + dx * gx,
+        gap_gauss=gap_gauss,
+        slope=profile.cell_slopes()[i_lo:i_hi],
+        eta_gauss=eta_nodes[:-1, None] + eta_nodes[1] * gx,
     )

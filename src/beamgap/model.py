@@ -98,17 +98,23 @@ def sigma_polynomial(coeffs, domain: tuple[float, float] = (-1.0, 1.0)) -> Sigma
     return prof
 
 
-def sigma_tabulated(x, s) -> SigmaProfile:
+def sigma_tabulated(x, s, domain: tuple[float, float] | None = None) -> SigmaProfile:
     """Tabulated permittivity from samples (x, sigma), cubic interpolation.
 
     Takes two equal-length arrays of at least 4 samples. Derivatives come from
-    the interpolating spline.
+    the interpolating spline. ``domain`` defaults to the table's x range; a
+    given domain must lie inside that range, since beyond it the spline
+    extrapolates. Positivity is checked over the domain.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     if x.ndim != 1 or x.shape != s.shape or x.size < 4:
         raise ValueError("tabulated sigma needs two equal-length 1-D arrays (>= 4 points)")
     spline = CubicSpline(x, s)
+    if domain is None:
+        domain = (float(x[0]), float(x[-1]))
+    elif not x[0] <= domain[0] <= domain[1] <= x[-1]:
+        raise ValueError(f"tabulated sigma covers [{x[0]}, {x[-1]}], not the domain [{domain[0]}, {domain[1]}]")
     d1 = spline.derivative(1)
     d2 = spline.derivative(2)
     prof = SigmaProfile(
@@ -116,7 +122,7 @@ def sigma_tabulated(x, s) -> SigmaProfile:
         d1=lambda q: d1(np.asarray(q, dtype=float)),
         d2=lambda q: d2(np.asarray(q, dtype=float)),
         kind="tabulated",
-        domain=(float(x[0]), float(x[-1])),
+        domain=(float(domain[0]), float(domain[1])),
     )
     smin, _ = prof.c2_scan()
     if smin <= 0.0:

@@ -19,15 +19,30 @@ mass on the bottom edge. The same quadratures are reused by the energy module
 so that the discrete electrostatic energy is exactly the negative of the
 minimized discrete functional.
 
+The map is stored per axis (geometry.MappedMesh), so the stiffness is a sum
+of five Kronecker products of 1-D tridiagonal cell factors,
+
+    K = K_x[G] (x) M_eta - D_x[S] (x) C_eta[eta] - D_x[S]^T (x) C_eta[eta]^T
+        + M_x[1/G] (x) K_eta + M_x[S^2/G] (x) K_eta[eta^2],
+
+((x) the Kronecker product, x factor first; K stiffness, M mass, D and C
+the derivative-times-value factors, the bracket the weight at the Gauss
+points), plus the lumped Robin diagonal. Its nine stencil arrays come out of
+one contraction of the stacked factors and are written straight into a CSC
+matrix in the dissection numbering below.
+The datum h_v is evaluated once per component solve, on the broadcast
+quadrature axes (sigma at 2 n_x points); the load and the energy both read
+that one evaluation from ``ComponentSolution.datum``.
+
 Linear solve: one path for every system size. Assembly numbers the free
 nodes of each component in nested-dissection order (George 1973; Lipton,
 Rose & Tarjan 1979): the (n_x-1) x n_eta node grid is bisected across its
 longer side by one line of nodes, recursively down to blocks of at most 2x2
 nodes, and each separator line is numbered after its two halves. The order
 depends on the grid shape alone and is computed once per shape. The matrix
-comes out of the scatter already in that order, so SuperLU factors it with
-the NATURAL column order and no pivoting (the system is SPD), solves once,
-and drops the factor; there is no iterative fallback.
+is written in that order, so SuperLU factors it with the NATURAL column
+order and no pivoting (the system is SPD), solves once, and drops the
+factor; there is no iterative fallback.
 """
 
 from __future__ import annotations
@@ -59,29 +74,28 @@ __all__ = [
     "max_principle_check",
 ]
 
-# reference bilinear basis on [-1, 1]^2, N = 1/4 (1 + s_x xi)(1 + s_z zeta)
-# with corner signs for nodes (i,j), (i+1,j), (i+1,j+1), (i,j+1); tables are
-# (4 Gauss points x 4 basis functions), the Gauss points ordered as in
-# geometry.build_mapped_mesh: g = 2*ix + ie, xi = (-a, -a, +a, +a) and
-# zeta = (-a, +a, -a, +a)
-_XI = _GAUSS_1D[[0, 0, 1, 1]][:, None]
-_ZE = _GAUSS_1D[[0, 1, 0, 1]][:, None]
-_SX = np.array([-1.0, 1.0, 1.0, -1.0])
-_SZ = np.array([-1.0, -1.0, 1.0, 1.0])
-_DXI = 0.25 * _SX * (1.0 + _SZ * _ZE)
-_DZE = 0.25 * _SZ * (1.0 + _SX * _XI)
-_NVAL = 0.25 * (1.0 + _SX * _XI) * (1.0 + _SZ * _ZE)
+# 1-D linear basis of a cell at its two Gauss points: _N[g, a] is the value of
+# the shape function of local node a (0 left, 1 right) at Gauss point g, and
+# _DN[g, a] its derivative times the cell width
+_N = 0.5 * (1.0 + np.outer(_GAUSS_1D, [-1.0, 1.0]))
+_DN = np.array([[-1.0, 1.0], [-1.0, 1.0]])
 
 
-def _outer_table(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(4 Gauss, 16) table of p[g, m] q[g, n], column 4 m + n."""
-    return (p[:, :, None] * q[:, None, :]).reshape(4, 16)
+@dataclass(frozen=True)
+class Datum:
+    """The datum h_v of one component, evaluated once per solve.
 
+    ``dxh`` = h_x + h_w v' (the x-derivative of h_v at fixed z) and ``hz`` =
+    h_z at the quadrature points, broadcastable to (n_x, 2, n_eta, 2);
+    ``sigma`` and ``bottom`` = h(x, -H, v) - frak_h(x, v) at the x-nodes.
+    The pulled-back gradient of h_v is d_x = dxh + hz eta v' and
+    d_eta = hz (H + v).
+    """
 
-# element stiffness on [-1, 1]^2 per Gauss point: K_cell = a11 T11 + a12 T12 + a22 T22
-_T11 = _outer_table(_DXI, _DXI)
-_T12 = _outer_table(_DXI, _DZE) + _outer_table(_DZE, _DXI)
-_T22 = _outer_table(_DZE, _DZE)
+    dxh: np.ndarray
+    hz: np.ndarray
+    sigma: np.ndarray
+    bottom: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,11 +106,12 @@ class LinearSystem:
     is node ``free_nodes[d]`` of the row-major (n_x+1, n_eta+1) grid.
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     free_nodes: np.ndarray
     n_x: int
     n_eta: int
+    datum: Datum
 
     def symmetry_error(self) -> float:
         d = self.matrix - self.matrix.T
@@ -105,11 +120,12 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class ComponentSolution:
-    """Nodal chi on one component mesh and the relative residual of its solve."""
+    """Nodal chi on one component mesh, the datum it was solved for, and the relative residual of its solve."""
 
     mesh: MappedMesh
     chi: np.ndarray
     residual: float
+    datum: Datum
 
 
 @dataclass(frozen=True)
@@ -143,7 +159,7 @@ class PotentialField:
         mesh = comp.mesh
         de = mesh.deta
         dchi = (-3.0 * comp.chi[:, 0] + 4.0 * comp.chi[:, 1] - comp.chi[:, 2]) / (2.0 * de)
-        return dchi / mesh.gap_nodes - self.model.sigma.value(mesh.x_nodes) * comp.chi[:, 0]
+        return dchi / mesh.gap_nodes - comp.datum.sigma * comp.chi[:, 0]
 
 
 @dataclass(frozen=True)
@@ -204,17 +220,63 @@ def _dissection_order(n_rows: int, n_cols: int) -> np.ndarray:
     return order
 
 
-def _h_derivatives(mesh: MappedMesh, model: DielectricModel) -> tuple[np.ndarray, np.ndarray]:
-    """(h_x + h_w v', h_z) of the datum h(x, z, v(x)) at the quadrature points.
+def _evaluate_datum(mesh: MappedMesh, model: DielectricModel) -> Datum:
+    """The datum of one component, one call of each model function.
 
-    The first is the x-derivative of h_v at fixed z. The pulled-back gradient
-    is d_x = that + h_z eta v' and d_eta = h_z (H + v).
+    The model is called on the broadcast quadrature axes, so a datum that
+    reads sigma(x) evaluates it at the 2 n_x x-Gauss points only.
     """
-    xq = mesh.x_q
-    vq = mesh.gap_q - mesh.H
-    zq = mesh.z_q()
-    dxh = model.h_x(xq, zq, vq) + model.h_w(xq, zq, vq) * mesh.slope_q
-    return dxh, model.h_z(xq, zq, vq)
+    x, v, z = mesh.x_q, mesh.gap_q - mesh.H, mesh.z_q()
+    v_nodes = mesh.gap_nodes - mesh.H
+    return Datum(
+        dxh=model.h_x(x, z, v) + model.h_w(x, z, v) * mesh.slope_q,
+        hz=model.h_z(x, z, v),
+        sigma=model.sigma.value(mesh.x_nodes),
+        bottom=model.h(mesh.x_nodes, -mesh.H, v_nodes) - model.frak_h(mesh.x_nodes, v_nodes),
+    )
+
+
+def _tridiagonals(weights: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Diagonals of 1-D cell-assembled matrices, shape (n_terms, n_nodes, 3).
+
+    Term t is the matrix sum_cells sum_g weights[t, c, g] p[t, g, a] q[t, g, b]
+    coupling local nodes a and b of cell c; its columns are the entries of
+    each row at the node before, the node itself and the node after.
+    """
+    cell = np.einsum("tcg,tga,tgb->tcab", weights, p, q)
+    n_terms, n_cells = cell.shape[:2]
+    out = np.zeros((n_terms, n_cells + 1, 3))
+    out[:, 1:, 0] = cell[:, :, 1, 0]
+    out[:, :-1, 1] = cell[:, :, 0, 0]
+    out[:, 1:, 1] += cell[:, :, 1, 1]
+    out[:, :-1, 2] = cell[:, :, 0, 1]
+    return out
+
+
+def _add_moments(out: np.ndarray, values: np.ndarray, px: np.ndarray, pe: np.ndarray) -> None:
+    """Add to the nodal array ``out`` the moments of Gauss-point values against a tensor basis.
+
+    ``values`` broadcasts to (n_x, 2, n_eta, 2); corner (a, b) of each cell
+    receives the sum of values px[gx, a] pe[ge, b] over the cell's four
+    Gauss points (gx, ge), at node (x cell + a, eta cell + b) of ``out``,
+    shape (n_x+1, n_eta+1).
+    """
+    n_x, n_eta = out.shape[0] - 1, out.shape[1] - 1
+    v = np.broadcast_to(values, (n_x, 2, n_eta, 2))
+    for b in (0, 1):
+        vb = v[..., 0] * pe[0, b] + v[..., 1] * pe[1, b]  # (n_x, gx, n_eta)
+        for a in (0, 1):
+            out[a : n_x + a, b : n_eta + b] += vb[:, 0] * px[0, a] + vb[:, 1] * px[1, a]
+
+
+def _gauss_values(nodal: np.ndarray, px: np.ndarray, pe: np.ndarray) -> np.ndarray:
+    """Nodal field against a tensor basis at the Gauss points, shape (n_x, 2, n_eta, 2).
+
+    Entry (x cell, gx, eta cell, ge) sums nodal value times px[gx, a] pe[ge, b]
+    over the four corners (a, b) of the cell.
+    """
+    along_eta = nodal[:, :-1, None] * pe[:, 0] + nodal[:, 1:, None] * pe[:, 1]  # (n_x+1, n_eta, 2)
+    return along_eta[:-1, None] * px[:, 0, None, None] + along_eta[1:, None] * px[:, 1, None, None]
 
 
 def assemble(
@@ -226,79 +288,82 @@ def assemble(
     """Build the reduced SPD system for chi on one component.
 
     Stiffness: int (A_v grad Phi) . grad phi over the rectangle with 2x2 Gauss
-    points per bilinear cell. Robin mass: the bottom term is a plain
-    x-integral (the graph map is the identity along z = -H), lumped with
-    trapezoid weights sigma(x_i) w_i. Load: the first-derivative pullback of
-    h_v plus the bottom datum sigma (h(., -H, v) - frak_h(., v)); an optional
-    ``source`` callable f(x, z) adds the mapped volume term int f phi (H+v).
+    points per bilinear cell, as the Kronecker sum of the module docstring.
+    Robin mass: the bottom term is a plain x-integral (the graph map is the
+    identity along z = -H), lumped with trapezoid weights sigma(x_i) w_i.
+    Load: the first-derivative pullback of h_v plus the bottom datum
+    sigma (h(., -H, v) - frak_h(., v)); an optional ``source`` callable
+    f(x, z) adds the mapped volume term int f phi (H+v). The datum is
+    evaluated here, once, and returned on the system.
     """
     if abs(model.H - profile.H) > 1e-14 * max(1.0, model.H):
         raise ValueError(f"model H = {model.H} does not match profile H = {profile.H}")
 
     n_x, n_eta = mesh.n_x, mesh.n_eta
     dx, de = mesh.dx, mesh.deta
-    jac = dx * de / 4.0
-    sx, se = 2.0 / dx, 2.0 / de
+    wx, we = 0.5 * dx, 0.5 * de  # Gauss weights
+    datum = _evaluate_datum(mesh, model)
 
-    # free nodes numbered in dissection order, so every scatter below builds
-    # the system already permuted; the Dirichlet nodes (top row and lateral
-    # columns, chi = 0) map to -1 and drop out of every scatter
+    # the five Kronecker terms: x factors weighted by the map, eta factors by eta^k
+    G, S, eta = mesh.gap_gauss, mesh.slope[:, None], mesh.eta_gauss
+    dnx, dne = _DN / dx, _DN / de
+    x_fac = _tridiagonals(
+        wx * np.stack(np.broadcast_arrays(G, -S, -S, 1.0 / G, S * S / G)),
+        np.stack([dnx, dnx, _N, _N, _N]),
+        np.stack([dnx, _N, dnx, _N, _N]),
+    )
+    e_fac = _tridiagonals(
+        we * np.stack(np.broadcast_arrays(1.0, eta, eta, 1.0, eta * eta)),
+        np.stack([_N, _N, dne, dne, dne]),
+        np.stack([_N, dne, _N, dne, dne]),
+    )
+    # the nine stencil arrays: stencil[a, b, i, j] couples free node (i + 1, j)
+    # to node (i + a, j + b - 1), one batched product over the five terms
+    n_free = (n_x - 1) * n_eta
+    stencil = np.matmul(x_fac[:, 1:-1].transpose(2, 1, 0)[:, None], e_fac[:, :-1].transpose(2, 0, 1)[None])
+    # lumped Robin mass on eta = 0 (interior nodes have trapezoid weight 1)
+    stencil[1, 1, :, 0] += datum.sigma[1:-1] * dx
+    # each entry below or left of the centre is its mirror's, so the matrix is exactly symmetric
+    stencil[0, 0, 1:, 1:] = stencil[2, 2, :-1, :-1]
+    stencil[0, 1, 1:, :] = stencil[2, 1, :-1, :]
+    stencil[0, 2, 1:, :-1] = stencil[2, 0, :-1, 1:]
+    stencil[1, 0, :, 1:] = stencil[1, 2, :, :-1]
+
+    # column d of the CSC matrix is free node (i + 1, j) = divmod(order[d], n_eta);
+    # its rows are the dissection ranks of its nine neighbours, read from a
+    # padded rank grid in which the Dirichlet nodes (top row and lateral
+    # columns, chi = 0) and the row below the bottom hold n_free and drop out
     order = _dissection_order(n_x - 1, n_eta)
-    n_free = order.size
-    rank = np.empty(n_free, dtype=np.intp)
-    rank[order] = np.arange(n_free)
-    dof = np.full((n_x + 1, n_eta + 1), -1)
-    dof[1:-1, :-1] = rank.reshape(n_x - 1, n_eta)
-    corners = _corner_values(dof)  # (n_cells, 4), cells ordered (ix, ie) row-major
-    live = corners.reshape(-1) >= 0
+    i, j = np.divmod(order, n_eta)
+    offsets = np.arange(3)[:, None]
+    rank = np.full((n_x + 1) * (n_eta + 2), n_free, dtype=np.int32)  # eta nodes -1 .. n_eta
+    rank[(i + 1) * (n_eta + 2) + j + 1] = np.arange(n_free, dtype=np.int32)
+    rows = rank[(i * (n_eta + 2) + j)[:, None] + (offsets * (n_eta + 2) + offsets.T).reshape(-1)]
+    vals = stencil.reshape(9, n_free)[:, order].T.copy()
+    keep = rows < n_free
+    indptr = np.zeros(n_free + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    mat = sp.csc_matrix((vals[keep], rows[keep], indptr), shape=(n_free, n_free))
+    mat.sort_indices()  # splu sorts an unsorted matrix in place; the system keeps it canonical
 
-    def scatter(cell_vals: np.ndarray) -> np.ndarray:
-        # float also when no weight is kept: a one-cell component has no free node
-        kept = np.bincount(corners.reshape(-1)[live], weights=cell_vals.reshape(-1)[live], minlength=n_free)
-        return kept.astype(float, copy=False)
-
-    k_all = (
-        mesh.a11.reshape(-1, 4) @ (_T11 * (jac * sx * sx))
-        + mesh.a12.reshape(-1, 4) @ (_T12 * (jac * sx * se))
-        + mesh.a22.reshape(-1, 4) @ (_T22 * (jac * se * se))
-    )  # (n_cells, 16), entry 4 m + n couples corners m and n
-    rows = np.repeat(corners, 4, axis=1).reshape(-1)
-    cols = np.tile(corners, (1, 4)).reshape(-1)
-    keep = (rows >= 0) & (cols >= 0)
-
-    # lumped Robin mass on eta = 0, at the free bottom nodes
-    bottom = dof[1:-1, 0]
-    w_bot = dx * _trapezoid_weights(n_x + 1)[1:-1]
-    sig = model.sigma.value(mesh.x_nodes)[1:-1]
-    mat = sp.coo_matrix(
-        (
-            np.concatenate([k_all.reshape(-1)[keep], sig * w_bot]),
-            (np.concatenate([rows[keep], bottom]), np.concatenate([cols[keep], bottom])),
-        ),
-        shape=(n_free, n_free),
-    ).tocsr()
-
-    # load: volume part from the pulled-back gradient of h_v
-    dxh, hz = _h_derivatives(mesh, model)
-    b1 = mesh.gap_q * dxh
-    b2 = -mesh.eta_q * mesh.slope_q * dxh + hz
-    b = scatter(-(b1.reshape(-1, 4) @ _DXI * sx + b2.reshape(-1, 4) @ _DZE * se) * jac)
-
-    # load: bottom datum
-    x_bot = mesh.x_nodes[1:-1]
-    v_bot = mesh.gap_nodes[1:-1] - mesh.H
-    b[bottom] -= sig * w_bot * (model.h(x_bot, -mesh.H, v_bot) - model.frak_h(x_bot, v_bot))
-
+    # load: volume part from the pulled-back gradient of h_v, then the bottom datum
+    load = np.zeros((n_x + 1, n_eta + 1))
+    _add_moments(load, mesh.gap_q * datum.dxh, dnx, _N)
+    _add_moments(load, -mesh.eta_q * mesh.slope_q * datum.dxh + datum.hz, _N, dne)
+    load *= -(wx * we)
+    load[1:-1, 0] -= datum.sigma[1:-1] * dx * datum.bottom[1:-1]
     if source is not None:
         f_q = np.asarray(source(mesh.x_q, mesh.z_q()), dtype=float) * mesh.gap_q
-        b += scatter(f_q.reshape(-1, 4) @ _NVAL * jac)
+        _add_moments(load, f_q * (wx * we), _N, _N)
 
+    free_nodes = (i + 1) * (n_eta + 1) + j
     return LinearSystem(
         matrix=mat,
-        rhs=b,
-        free_nodes=np.arange(dof.size).reshape(dof.shape)[1:-1, :-1].reshape(-1)[order],
+        rhs=load.reshape(-1)[free_nodes],
+        free_nodes=free_nodes,
         n_x=n_x,
         n_eta=n_eta,
+        datum=datum,
     )
 
 
@@ -312,7 +377,7 @@ def _solve_system(system: LinearSystem) -> tuple[np.ndarray, float]:
     a, b = system.matrix, system.rhs
     if a.shape[0] == 0:
         return np.zeros(0), 0.0
-    lu = splu(a.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     x = lu.solve(b)
     b_norm = float(np.linalg.norm(b))
     res = float(np.linalg.norm(a @ x - b)) / b_norm if b_norm > 0.0 else 0.0
@@ -354,7 +419,7 @@ def solve_potential(
         x, res = _solve_system(system)
         chi = np.zeros((mesh.n_x + 1, mesh.n_eta + 1))
         chi.reshape(-1)[system.free_nodes] = x
-        solutions.append(ComponentSolution(mesh=mesh, chi=chi, residual=res))
+        solutions.append(ComponentSolution(mesh=mesh, chi=chi, residual=res, datum=system.datum))
 
         de = mesh.deta
         # one-sided 3-point eta-derivative at the top (chi = 0 there)
@@ -376,7 +441,7 @@ def solve_potential(
 # ---------------------------------------------------------------- diagnostics
 
 
-def functional_quadratic(mesh: MappedMesh, model: DielectricModel, theta: np.ndarray) -> float:
+def functional_quadratic(mesh: MappedMesh, datum: Datum, theta: np.ndarray) -> float:
     """Full quadratic functional of the data problem at a nodal field theta.
 
     Evaluates 1/2 int A_v grad(theta + h_v) . grad(theta + h_v) plus
@@ -385,42 +450,26 @@ def functional_quadratic(mesh: MappedMesh, model: DielectricModel, theta: np.nda
     The solved chi minimizes this over fields vanishing on the Dirichlet
     edges, and the electrostatic energy of the component is its negative.
     """
-    field, bottom = functional_quadratic_parts(mesh, model, theta)
+    field, bottom = functional_quadratic_parts(mesh, datum, theta)
     return field + bottom
 
 
-def functional_quadratic_parts(
-    mesh: MappedMesh, model: DielectricModel, theta: np.ndarray
-) -> tuple[float, float]:
+def functional_quadratic_parts(mesh: MappedMesh, datum: Datum, theta: np.ndarray) -> tuple[float, float]:
     """(field term, bottom term) of the quadratic functional, both >= 0."""
     theta = np.asarray(theta, dtype=float)
     n_x, n_eta = mesh.n_x, mesh.n_eta
     if theta.shape != (n_x + 1, n_eta + 1):
         raise ValueError(f"theta shape {theta.shape}, expected {(n_x + 1, n_eta + 1)}")
     dx, de = mesh.dx, mesh.deta
-    jac = dx * de / 4.0
-    gx = _DXI * (2.0 / dx)
-    ge = _DZE * (2.0 / de)
 
-    corners = _corner_values(theta)  # (n_cells, 4)
-    tx = corners @ gx.T  # (n_cells, 4 gauss)
-    te = corners @ ge.T
-    dxh, hz = _h_derivatives(mesh, model)
-    hhat_x = dxh + hz * mesh.eta_q * mesh.slope_q
-    hhat_e = hz * mesh.gap_q
-
-    wx = tx + hhat_x.reshape(-1, 4)
-    we = te + hhat_e.reshape(-1, 4)
-    a11 = mesh.a11.reshape(-1, 4)
-    a12 = mesh.a12.reshape(-1, 4)
-    a22 = mesh.a22.reshape(-1, 4)
-    field = 0.5 * jac * float(np.sum(a11 * wx * wx + 2.0 * a12 * wx * we + a22 * we * we))
+    wx = _gauss_values(theta, _DN / dx, _N) + (datum.dxh + datum.hz * mesh.eta_q * mesh.slope_q)
+    we = _gauss_values(theta, _N, _DN / de) + datum.hz * mesh.gap_q
+    quad = mesh.a11 * wx * wx + 2.0 * mesh.a12 * wx * we + mesh.a22 * we * we
+    field = 0.5 * (dx * de / 4.0) * float(np.sum(quad))
 
     w_bot = dx * _trapezoid_weights(n_x + 1)
-    sig = model.sigma.value(mesh.x_nodes)
-    v_bot = mesh.gap_nodes - mesh.H
-    trace = theta[:, 0] + model.h(mesh.x_nodes, -mesh.H, v_bot) - model.frak_h(mesh.x_nodes, v_bot)
-    bottom = 0.5 * float(np.sum(w_bot * sig * trace**2))
+    trace = theta[:, 0] + datum.bottom
+    bottom = 0.5 * float(np.sum(w_bot * datum.sigma * trace**2))
     return field, bottom
 
 
@@ -435,15 +484,6 @@ def functional_dual(
     theta = np.asarray(theta, dtype=float).reshape(-1)
     t = theta[system.free_nodes]
     return float(0.5 * t @ (system.matrix @ t) - system.rhs @ t)
-
-
-def _corner_values(nodal: np.ndarray) -> np.ndarray:
-    """Nodal (n_x+1, n_eta+1) -> per-cell corner values (n_cells, 4)."""
-    c00 = nodal[:-1, :-1]
-    c10 = nodal[1:, :-1]
-    c11 = nodal[1:, 1:]
-    c01 = nodal[:-1, 1:]
-    return np.stack([c00, c10, c11, c01], axis=-1).reshape(-1, 4)
 
 
 def max_principle_check(

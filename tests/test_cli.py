@@ -138,6 +138,30 @@ def test_tabulated_sigma_path_matches_inline(tmp_path, capsys):
     assert out_path != capsys.readouterr().out  # the tabulated sigma reached the constants
 
 
+@pytest.mark.parametrize("form", ["inline", "path"])
+def test_tabulated_sigma_short_of_the_plate_rejected_before_any_solve(tmp_path, monkeypatch, form):
+    """A sigma table that stops short of [-L, L] exits 2 before any solve and writes nothing.
+
+    Beyond the table the spline extrapolates, here to sigma = -3.77 at x = +-1.
+    """
+    calls = count_solves(monkeypatch, ("cli", "minimize", "energy", "force"))
+    x, values = [-0.5, -0.2, 0.0, 0.2, 0.5], [1.0, 0.5, 0.2, 0.5, 1.0]
+    if form == "inline":
+        sigma = {"kind": "tabulated", "x": x, "values": values}
+    else:
+        csv = tmp_path / "sigma.csv"
+        np.savetxt(csv, np.column_stack([x, values]), delimiter=",")
+        sigma = {"kind": "tabulated", "path": str(csv)}
+    path = write_config(tmp_path, {"dielectric": {"sigma": sigma}, "grid": {"nx": 32, "neta": 16}})
+    with pytest.raises(cli.ConfigError, match="covers"):
+        cli.load_config(path)
+    assert cli.main(["kappa0", "--config", path]) == 2
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- run verb
 
 

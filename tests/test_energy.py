@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from beamgap.energy import (
     total_energy,
 )
 from beamgap.geometry import DeflectionProfile
-from beamgap.model import compute_constants, make_example_model, make_zero_data_model
+from beamgap.model import compute_constants, make_example_model, make_zero_data_model, sigma_polynomial
 from beamgap.solver import functional_quadratic_parts, solve_potential
 
 
@@ -117,7 +119,7 @@ def test_contact_interval_contributes_datum_energy():
     elec = electrostatic_energy(p, model, field=field)
 
     solved_bottom = sum(
-        functional_quadratic_parts(c.mesh, model, c.chi)[1] for c in field.components
+        functional_quadratic_parts(c.mesh, c.datum, c.chi)[1] for c in field.components
     )
     contact_piece = elec.boundary_term - solved_bottom
 
@@ -164,3 +166,32 @@ def test_penalized_energy_coercivity_bound(unit_model, unit_constants):
         rep = total_energy(p, unit_model, unit_constants, k=k, n_eta=32)
         curv = 2.0 * mechanical_energy(p, 1.0, 0.0, 0.0).bending
         assert rep.e_penalized >= 0.25 * unit_constants.beta * curv - offset
+
+
+@pytest.mark.parametrize("amp", [-0.5, -2.0])
+def test_datum_evaluated_once_per_component(amp):
+    """One descent trial point, a solve and then total_energy on its field,
+    calls each of h_x, h_z and h_w once per non-contact component.
+
+    amp = -2 pins the middle at -H, which leaves two components.
+    """
+    base = make_example_model(V=1.3, sigma=sigma_polynomial([1.0, 0.5, 0.5]), H=1.0, K=1.0)
+    calls = {"h_x": 0, "h_z": 0, "h_w": 0}
+
+    def counted(name):
+        def wrapped(*args, _f=getattr(base, name), **kwargs):
+            calls[name] += 1
+            return _f(*args, **kwargs)
+
+        return wrapped
+
+    model = dataclasses.replace(base, **{name: counted(name) for name in calls})
+    constants = compute_constants(model, beta=1.0, tau=0.0, alpha=0.0, L=1.0, H=1.0)
+    p = DeflectionProfile.from_callable(
+        lambda x: np.maximum(-1.0, amp * np.exp(-8.0 * x**2) * (1.0 - x**2)), L=1.0, H=1.0, n_cells=64
+    )
+    field = solve_potential(p, model, n_eta=16)
+    total_energy(p, model, constants, k=2.0, field=field)
+    n_components = len(field.components)
+    assert n_components == (1 if amp == -0.5 else 2)
+    assert calls == {name: n_components for name in calls}

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,7 @@ def test_mapped_mesh_quadrature_measures_area():
     p = bump_profile(128, amp=-0.3)
     mesh = build_mapped_mesh(p, (0, 128), n_eta=16)
     jac = mesh.dx * mesh.deta / 4.0
-    area_quad = float(np.sum(mesh.gap_q)) * jac
+    area_quad = float(np.sum(np.broadcast_to(mesh.gap_q, (mesh.n_x, 2, mesh.n_eta, 2)))) * jac
     # exact: int_{-1}^{1} (1 - 0.3 (1-x^2)^2) dx = 2 - 0.3 * 16/15
     area_exact = 2.0 - 0.3 * 16.0 / 15.0
     assert area_quad == pytest.approx(area_exact, rel=1e-4)
@@ -136,3 +138,23 @@ def test_mapped_mesh_rejects_closed_gap():
     p = DeflectionProfile.from_callable(f, L=1.0, H=H, n_cells=64)
     with pytest.raises(ValueError):
         build_mapped_mesh(p, (0, 64), n_eta=8)
+
+
+def test_mapped_mesh_stays_per_axis():
+    """At 512x256 the mesh holds no array with more than 4 (n_x + n_eta) entries.
+
+    Every array field is traced to the array that owns its memory; those
+    owners together hold at most 8 (n_x + n_eta) doubles.
+    """
+    mesh = build_mapped_mesh(bump_profile(512, amp=-0.4), (0, 512), n_eta=256)
+    bound = 4 * (mesh.n_x + mesh.n_eta)
+    owners = {}
+    for f in dataclasses.fields(mesh):
+        arr = getattr(mesh, f.name)
+        if isinstance(arr, np.ndarray):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            owners[id(arr)] = arr
+    assert len(owners) >= 7
+    assert max(a.size for a in owners.values()) <= bound
+    assert sum(a.nbytes for a in owners.values()) <= 8 * 2 * bound
