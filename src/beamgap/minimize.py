@@ -93,6 +93,26 @@ class HistoryRow:
     backtracks: int
 
 
+@dataclass
+class SolveCounts:
+    """Linear-solve work of a descent: potential solves (every trial point,
+    accepted or not), SuperLU factorizations, conjugate-gradient iterations of
+    the lagged-factor solves, and the largest relative residual of any
+    component solve."""
+
+    solves: int = 0
+    factorizations: int = 0
+    linear_iterations: int = 0
+    linear_residual_max: float = 0.0
+
+    def add(self, field: PotentialField) -> None:
+        self.solves += 1
+        for comp in field.components:
+            self.factorizations += comp.factored
+            self.linear_iterations += comp.iterations
+            self.linear_residual_max = max(self.linear_residual_max, comp.residual)
+
+
 @dataclass(frozen=True)
 class MinimizeResult:
     """Final state of a descent; ``field`` is the potential solved at ``profile``."""
@@ -105,6 +125,7 @@ class MinimizeResult:
     converged: bool = False
     iterations: int = 0
     status: str = ""
+    counts: SolveCounts = dc_field(default_factory=SolveCounts)
 
 
 # ------------------------------------------------------- discrete operators
@@ -203,11 +224,14 @@ def minimize(
     the energy reported once per trial point, so accepted iterates have
     non-increasing discrete energy. The field and report of an accepted point
     serve its force, its history row and, at the end, ``MinimizeResult``:
-    no profile is solved twice. The line search has one failure exit: when
-    all _MAX_BACKTRACKS + 1 trial steps of an iteration are rejected, the
-    descent stops and returns the last accepted state with status
-    'line_search_failure'. Raises ValueError for max_iters < 0 or k < H,
-    before any solve.
+    no profile is solved twice. The solves share one cache of SuperLU
+    factors (see ``solve_potential``), so most profiles are solved by a few
+    conjugate-gradient iterations preconditioned with the factor of an
+    earlier one; ``MinimizeResult.counts`` records that work. The line
+    search has one failure exit: when all _MAX_BACKTRACKS + 1 trial steps
+    of an iteration are rejected, the descent stops and returns the last
+    accepted state with status 'line_search_failure'. Raises ValueError for
+    max_iters < 0 or k < H, before any solve.
     """
     opts = options or MinimizeOptions()
     if opts.max_iters < 0:
@@ -219,9 +243,12 @@ def minimize(
     profile = initial
     h = profile.spacing
     history: list[HistoryRow] = []
+    counts = SolveCounts()
+    factors: dict = {}
 
     def evaluate(p: DeflectionProfile) -> tuple[EnergyReport, PotentialField]:
-        fld = solve_potential(p, model, n_eta=opts.n_eta, gap_threshold=opts.gap_threshold)
+        fld = solve_potential(p, model, n_eta=opts.n_eta, gap_threshold=opts.gap_threshold, factors=factors)
+        counts.add(fld)
         return total_energy(p, model, constants, k=k, field=fld), fld
 
     report, field = evaluate(profile)
@@ -286,5 +313,6 @@ def minimize(
         converged=converged,
         iterations=iteration,
         status=status,
+        counts=counts,
     )
 

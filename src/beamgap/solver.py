@@ -34,15 +34,26 @@ The datum h_v is evaluated once per component solve, on the broadcast
 quadrature axes (sigma at 2 n_x points); the load and the energy both read
 that one evaluation from ``ComponentSolution.datum``.
 
-Linear solve: one path for every system size. Assembly numbers the free
+Linear solve: the same at every system size. Assembly numbers the free
 nodes of each component in nested-dissection order (George 1973; Lipton,
 Rose & Tarjan 1979): the (n_x-1) x n_eta node grid is bisected across its
 longer side by one line of nodes, recursively down to blocks of at most 2x2
 nodes, and each separator line is numbered after its two halves. The order
 depends on the grid shape alone and is computed once per shape. The matrix
 is written in that order, so SuperLU factors it with the NATURAL column
-order and no pivoting (the system is SPD), solves once, and drops the
-factor; there is no iterative fallback.
+order and no pivoting (the system is SPD); ``_factor`` is the one
+factorization call.
+
+A plain ``solve_potential`` call factors each component, solves once and
+drops the factor. A caller that solves a chain of nearby profiles (only
+``minimize`` does) passes a ``factors`` dict that it owns: a component with
+a held factor is then solved by conjugate gradients preconditioned with
+that lagged factor, to a relative residual of _CG_RTOL = 1e-12 and one
+iteration past it, and is factored afresh only when CG needs more than
+_CG_MAX_ITERS = 8 iterations to meet _CG_RTOL or no factor is held (the
+lagged-Jacobian preconditioning of Knoll & Keyes, J. Comput. Phys. 193,
+2004). Stale and failed factors are dropped before a new one is made, so
+the dict holds at most one factor per component.
 """
 
 from __future__ import annotations
@@ -120,12 +131,20 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class ComponentSolution:
-    """Nodal chi on one component mesh, the datum it was solved for, and the relative residual of its solve."""
+    """Nodal chi on one component mesh, the datum it was solved for, and how it was solved.
+
+    ``residual`` is the relative residual of the solve, ``iterations`` the
+    conjugate-gradient iterations of a solve by a lagged factor (0 for a
+    direct solve), and ``factored`` whether the solve made a SuperLU
+    factorization.
+    """
 
     mesh: MappedMesh
     chi: np.ndarray
     residual: float
     datum: Datum
+    iterations: int
+    factored: bool
 
 
 @dataclass(frozen=True)
@@ -367,21 +386,92 @@ def assemble(
     )
 
 
-def _solve_system(system: LinearSystem) -> tuple[np.ndarray, float]:
-    """SuperLU solve of the reduced system; returns (x, relative residual).
+# lagged-factor solves: conjugate gradients preconditioned with a held factor
+# run to this relative residual (and one iteration past it), and a held
+# factor that needs more iterations than this to get there is dropped and
+# the matrix factored afresh
+_CG_RTOL = 1e-12
+_CG_MAX_ITERS = 8
+
+
+def _factor(matrix: sp.csc_matrix):
+    """SuperLU factor of a reduced system matrix, the package's one factorization.
 
     The dofs are already in dissection order, so SuperLU keeps it (NATURAL)
     and, the system being SPD, pivots on the diagonal with rows following
     the columns.
     """
+    return splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
+def _relative_residual(a: sp.csc_matrix, x: np.ndarray, b: np.ndarray) -> float:
+    b_norm = float(np.linalg.norm(b))
+    return float(np.linalg.norm(b - a @ x)) / b_norm if b_norm > 0.0 else 0.0
+
+
+def _solve_system(system: LinearSystem) -> tuple[np.ndarray, float]:
+    """SuperLU solve of the reduced system; returns (x, relative residual)."""
     a, b = system.matrix, system.rhs
     if a.shape[0] == 0:
         return np.zeros(0), 0.0
-    lu = splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    x = lu.solve(b)
+    x = _factor(a).solve(b)
+    return x, _relative_residual(a, x, b)
+
+
+def _lagged_solve(system: LinearSystem, lu) -> tuple[np.ndarray, float, int] | None:
+    """Conjugate gradients on the system, preconditioned with the factor ``lu``
+    of an earlier matrix of the same shape (both SPD, so the preconditioner
+    is too).
+
+    Returns (x, relative residual, iterations taken), or None if
+    _CG_MAX_ITERS iterations do not bring the true residual to _CG_RTOL.
+    Once they do, one more iteration is taken and the iterate with the
+    smaller residual kept: that step takes the residual to the round-off
+    floor a direct solve reaches, so a lagged solve is no less accurate than
+    a fresh one.
+    """
+    a, b = system.matrix, system.rhs
     b_norm = float(np.linalg.norm(b))
-    res = float(np.linalg.norm(a @ x - b)) / b_norm if b_norm > 0.0 else 0.0
-    return x, res
+    if b_norm == 0.0:
+        return np.zeros_like(b), 0.0, 0
+    x = np.zeros_like(b)
+    z = lu.solve(b)
+    p = z
+    rz = float(b @ z)
+    met = None
+    for iterations in range(1, _CG_MAX_ITERS + 2):
+        x = x + (rz / float(p @ (a @ p))) * p
+        r = b - a @ x
+        res = float(np.linalg.norm(r)) / b_norm
+        if met is not None:
+            break
+        if res <= _CG_RTOL:
+            met = (x, res)
+        elif iterations == _CG_MAX_ITERS:
+            return None
+        z = lu.solve(r)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    x, res = min(met, (x, res), key=lambda solved: solved[1])
+    return x, res, iterations
+
+
+def _cached_solve(system: LinearSystem, factors: dict, key: tuple) -> tuple[np.ndarray, float, int, bool]:
+    """Solve by the factor held under ``key`` if it serves, else by a fresh one kept there.
+
+    Returns (x, relative residual, CG iterations, whether a factor was made).
+    A held factor that fails is dropped before the new one is made.
+    """
+    if system.rhs.size == 0:
+        return np.zeros(0), 0.0, 0, False
+    if key in factors:
+        solved = _lagged_solve(system, factors[key])
+        if solved is not None:
+            return (*solved, False)
+        del factors[key]
+    lu = factors[key] = _factor(system.matrix)
+    x = lu.solve(system.rhs)
+    return x, _relative_residual(system.matrix, x, system.rhs), 0, True
 
 
 def solve_potential(
@@ -390,6 +480,7 @@ def solve_potential(
     n_eta: int = 128,
     gap_threshold: float | None = None,
     source=None,
+    factors: dict | None = None,
 ) -> PotentialField:
     """Solve chi_v component by component and extract the boundary traces.
 
@@ -402,8 +493,23 @@ def solve_potential(
     (a wall node beside contact) no area: chi = 0 on both, and their traces
     are 0, as on every lateral edge. The one-node component gets no entry in
     ``components``.
+
+    ``factors`` is an optional cache of SuperLU factors that the caller
+    owns and passes to a chain of nearby profiles, keyed by component
+    ``(i_lo, i_hi, n_eta)``. A component with a held factor is solved by
+    conjugate gradients preconditioned with it, to a relative residual of
+    _CG_RTOL and one iteration past it; if meeting _CG_RTOL takes more than
+    _CG_MAX_ITERS iterations, or no factor is held, the component is
+    factored afresh and the new factor kept. Factors of components the
+    profile no longer has are dropped first, so the cache holds at most one
+    factor per component. Without a cache each component is factored,
+    solved once, and its factor dropped.
     """
     coincidence = detect_coincidence(profile, gap_threshold)
+    if factors is not None:
+        keys = {(i_lo, i_hi, n_eta) for i_lo, i_hi in coincidence.components}
+        for stale in factors.keys() - keys:
+            del factors[stale]
     n = profile.x_nodes.size
     top_dz = np.full(n, np.nan)
     bot_val = np.full(n, np.nan)
@@ -416,10 +522,18 @@ def solve_potential(
             continue
         mesh = build_mapped_mesh(profile, comp, n_eta)
         system = assemble(mesh, model, profile, source=source)
-        x, res = _solve_system(system)
+        if factors is None:
+            x, res = _solve_system(system)
+            iterations, factored = 0, x.size > 0
+        else:
+            x, res, iterations, factored = _cached_solve(system, factors, (i_lo, i_hi, n_eta))
         chi = np.zeros((mesh.n_x + 1, mesh.n_eta + 1))
         chi.reshape(-1)[system.free_nodes] = x
-        solutions.append(ComponentSolution(mesh=mesh, chi=chi, residual=res, datum=system.datum))
+        solutions.append(
+            ComponentSolution(
+                mesh=mesh, chi=chi, residual=res, datum=system.datum, iterations=iterations, factored=factored
+            )
+        )
 
         de = mesh.deta
         # one-sided 3-point eta-derivative at the top (chi = 0 there)

@@ -202,6 +202,26 @@ def test_default_run_reports_linear_residual(tmp_path):
     assert 0.0 < residual["linear_max"] <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "payload, iterations, factorizations",
+    [({}, 2, 1), ({"dielectric": {"V": 3.0}, "grid": {"nx": 128, "neta": 64}}, 10, 2)],
+)
+def test_descent_factors_about_once(tmp_path, payload, iterations, factorizations):
+    """The descent reuses its first factor: the default run factors once, V = 3
+    at 128x64 at most twice over its 10 iterations (one per solve without
+    the cache: 3 and 11), and both converge as they did."""
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    summary = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    diagnostics = summary["diagnostics"]
+    assert summary["status"] == "converged"
+    assert abs(summary["iterations"] - iterations) <= 1
+    assert diagnostics["factorizations"] <= factorizations
+    assert diagnostics["solves"] == summary["iterations"] + 1
+    assert diagnostics["linear_iterations"] > 0
+    assert diagnostics["linear_residual_max"] <= 1e-10
+
+
 def test_odd_cell_count_runs(tmp_path):
     """An odd nx converges to a mirror-symmetric profile; run.json reports the minimized energy."""
     cfg = write_config(tmp_path, {"dielectric": {"V": 0.5, "K": 1.0}, "grid": {"nx": 63, "neta": 16}})

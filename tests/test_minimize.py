@@ -162,7 +162,8 @@ def test_each_trial_point_solved_once(monkeypatch, V):
     """One solve for the start and one per trial point; the result reuses the last.
 
     V = 20 touches down, backtracks and ends in a failed line search, whose
-    _MAX_BACKTRACKS + 1 rejected trials leave no history row.
+    _MAX_BACKTRACKS + 1 rejected trials leave no history row but are
+    counted in ``counts.solves``.
     """
     model, constants, initial = small_setup(V)
     calls = count_solves(monkeypatch, ("minimize",))
@@ -173,6 +174,7 @@ def test_each_trial_point_solved_once(monkeypatch, V):
     assert failed == (V == 20.0)
     assert (backtracks > 0) == (V == 20.0)
     assert len(calls) == 1 + len(res.history) + backtracks + (_MAX_BACKTRACKS + 1) * failed
+    assert res.counts.solves == len(calls)
     assert len({p.u.tobytes() for p in calls}) == len(calls)
     assert res.field.profile is res.profile
 

@@ -283,3 +283,65 @@ def test_short_wall_component_has_zero_chi(unit_model, u1):
     assert np.all(np.isfinite(g))
     if u1 == -1.0:
         assert e_e == pytest.approx(-1.0, rel=1e-14)
+
+
+# ---------------------------------------------------------------- lagged factors
+
+
+def recording_factor(monkeypatch, factors: dict) -> list:
+    """Record the keys held in ``factors`` at each call of ``solver.splu``."""
+    held = []
+
+    def recording_splu(*args, **kwargs):
+        held.append(set(factors))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", recording_splu)
+    return held
+
+
+def test_lagged_factor_solve_matches_fresh_solve(unit_model):
+    """Along a chain of deepening bumps that share one cache, every solve after
+    the first reuses the first factor, and matches a fresh solve."""
+    factors = {}
+    iterations = []
+    for amp in (-0.2, -0.203, -0.206, -0.209, -0.212):
+        p = bump(128, amp)
+        (lagged,) = solve_potential(p, unit_model, n_eta=64, factors=factors).components
+        (fresh,) = solve_potential(p, unit_model, n_eta=64).components
+        assert fresh.factored and fresh.iterations == 0
+        assert np.max(np.abs(lagged.chi - fresh.chi)) <= 1e-12 * np.max(np.abs(fresh.chi))
+        assert lagged.residual <= solver._CG_RTOL
+        assert list(factors) == [(0, 128, 64)]
+        iterations.append((lagged.factored, lagged.iterations))
+    assert iterations[0] == (True, 0)
+    assert all(not factored and 0 < n <= solver._CG_MAX_ITERS + 1 for factored, n in iterations[1:])
+
+
+def test_lagged_factor_refactors_when_cg_is_slow(unit_model, monkeypatch):
+    """A factor of the flat gap is too far from a deep dip: CG gives up after
+    _CG_MAX_ITERS iterations, and the component is factored afresh, once."""
+    factors = {}
+    solve_potential(bump(128, 0.0), unit_model, n_eta=64, factors=factors)
+    flat_factor = factors[0, 128, 64]
+    held = recording_factor(monkeypatch, factors)
+    (comp,) = solve_potential(bump(128, -0.3), unit_model, n_eta=64, factors=factors).components
+    assert held == [set()]  # the failed factor is dropped before the new one is made
+    assert comp.factored and comp.iterations == 0
+    assert comp.residual <= solver._CG_RTOL
+    assert factors[0, 128, 64] is not flat_factor
+
+
+def test_changed_components_do_not_share_factors(unit_model, monkeypatch):
+    """When contact splits the gap, the old component's factor is dropped
+    before either new component is factored, and neither reuses it."""
+    factors = {}
+    solve_potential(bump(128, -0.3), unit_model, n_eta=32, factors=factors)
+    held = recording_factor(monkeypatch, factors)
+    p = two_component_contact()
+    field = solve_potential(p, unit_model, n_eta=32, factors=factors)
+    keys = {(i_lo, i_hi, 32) for i_lo, i_hi in detect_coincidence(p).components}
+    assert len(keys) == 2
+    assert len(held) == 2 and all(not (h - keys) for h in held)
+    assert set(factors) == keys
+    assert all(c.factored and c.iterations == 0 and c.residual <= 1e-12 for c in field.components)
