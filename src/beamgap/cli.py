@@ -279,12 +279,15 @@ def _write_profile_csv(path: Path, profile: DeflectionProfile, g: np.ndarray, co
 
 
 def _write_history_csv(path: Path, history) -> None:
-    lines = ["iteration,e_mechanical,e_electrostatic,e_penalized,stationarity,active_count,step_size,backtracks"]
+    lines = [
+        "iteration,e_mechanical,e_electrostatic,e_penalized,stationarity,active_count,step_size,solves,max_du,"
+        "backtracks"
+    ]
     for row in history:
         lines.append(
             f"{row.iteration},{float(row.e_mechanical)!r},{float(row.e_electrostatic)!r},"
             f"{float(row.e_penalized)!r},{float(row.stationarity)!r},{row.active_count},"
-            f"{float(row.step_size)!r},{row.backtracks}"
+            f"{float(row.step_size)!r},{row.solves},{float(row.max_du)!r},{row.backtracks}"
         )
     _atomic_write(path, "\n".join(lines) + "\n")
 

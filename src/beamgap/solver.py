@@ -48,12 +48,14 @@ A plain ``solve_potential`` call factors each component, solves once and
 drops the factor. A caller that solves a chain of nearby profiles (only
 ``minimize`` does) passes a ``factors`` dict that it owns: a component with
 a held factor is then solved by conjugate gradients preconditioned with
-that lagged factor, to a relative residual of _CG_RTOL = 1e-12 and one
-iteration past it, and is factored afresh only when CG needs more than
-_CG_MAX_ITERS = 8 iterations to meet _CG_RTOL or no factor is held (the
-lagged-Jacobian preconditioning of Knoll & Keyes, J. Comput. Phys. 193,
-2004). Stale and failed factors are dropped before a new one is made, so
-the dict holds at most one factor per component.
+that lagged factor, started from the component's last solution, to a
+relative residual of _CG_RTOL = 1e-12 and one iteration past it, and is
+factored afresh only when CG needs more than _CG_MAX_ITERS = 8 iterations
+to meet _CG_RTOL or no factor is held (the lagged-Jacobian preconditioning
+of Knoll & Keyes, J. Comput. Phys. 193, 2004). A fresh factor serves its
+own first solve through the same CG loop, so every cached solve meets
+_CG_RTOL. Stale and failed factors are dropped before a new one is made,
+so the dict holds at most one factor (and solution) per component.
 """
 
 from __future__ import annotations
@@ -134,9 +136,9 @@ class ComponentSolution:
     """Nodal chi on one component mesh, the datum it was solved for, and how it was solved.
 
     ``residual`` is the relative residual of the solve, ``iterations`` the
-    conjugate-gradient iterations of a solve by a lagged factor (0 for a
-    direct solve), and ``factored`` whether the solve made a SuperLU
-    factorization.
+    conjugate-gradient iterations of a solve by a lagged factor (0 when the
+    solve made its own factor), and ``factored`` whether the solve made a
+    SuperLU factorization.
     """
 
     mesh: MappedMesh
@@ -418,26 +420,26 @@ def _solve_system(system: LinearSystem) -> tuple[np.ndarray, float]:
     return x, _relative_residual(a, x, b)
 
 
-def _lagged_solve(system: LinearSystem, lu) -> tuple[np.ndarray, float, int] | None:
-    """Conjugate gradients on the system, preconditioned with the factor ``lu``
-    of an earlier matrix of the same shape (both SPD, so the preconditioner
-    is too).
+def _lagged_solve(system: LinearSystem, lu, x0: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
+    """Conjugate gradients on the system from ``x0``, preconditioned with the
+    factor ``lu`` of the same or an earlier matrix of the same shape (both
+    SPD, so the preconditioner is too).
 
-    Returns (x, relative residual, iterations taken), or None if
-    _CG_MAX_ITERS iterations do not bring the true residual to _CG_RTOL.
-    Once they do, one more iteration is taken and the iterate with the
-    smaller residual kept: that step takes the residual to the round-off
-    floor a direct solve reaches, so a lagged solve is no less accurate than
-    a fresh one.
+    Returns (x, relative residual, iterations taken, whether the true
+    residual met _CG_RTOL within _CG_MAX_ITERS iterations). Once it does, one
+    more iteration is taken and the iterate with the smaller residual kept:
+    that step takes the residual to the round-off floor of the factor, so a
+    lagged solve is no less accurate than a fresh one.
     """
     a, b = system.matrix, system.rhs
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return np.zeros_like(b), 0.0, 0
-    x = np.zeros_like(b)
-    z = lu.solve(b)
+        return np.zeros_like(b), 0.0, 0, True
+    x = x0
+    r = b - a @ x
+    z = lu.solve(r)
     p = z
-    rz = float(b @ z)
+    rz = float(r @ z)
     met = None
     for iterations in range(1, _CG_MAX_ITERS + 2):
         x = x + (rz / float(p @ (a @ p))) * p
@@ -448,30 +450,39 @@ def _lagged_solve(system: LinearSystem, lu) -> tuple[np.ndarray, float, int] | N
         if res <= _CG_RTOL:
             met = (x, res)
         elif iterations == _CG_MAX_ITERS:
-            return None
+            return x, res, iterations, False
         z = lu.solve(r)
         rz, rz_old = float(r @ z), rz
         p = z + (rz / rz_old) * p
     x, res = min(met, (x, res), key=lambda solved: solved[1])
-    return x, res, iterations
+    return x, res, iterations, True
 
 
 def _cached_solve(system: LinearSystem, factors: dict, key: tuple) -> tuple[np.ndarray, float, int, bool]:
     """Solve by the factor held under ``key`` if it serves, else by a fresh one kept there.
 
-    Returns (x, relative residual, CG iterations, whether a factor was made).
-    A held factor that fails is dropped before the new one is made.
+    Each entry holds a factor and the component's last solution, from which
+    CG starts. Returns (x, relative residual, CG iterations on a held factor,
+    whether a factor was made). A held factor that fails is dropped before
+    the new one is made; the new one serves its own solve through the same
+    CG loop (1-2 iterations, not counted), so every cached solve meets
+    _CG_RTOL.
     """
     if system.rhs.size == 0:
         return np.zeros(0), 0.0, 0, False
     if key in factors:
-        solved = _lagged_solve(system, factors[key])
-        if solved is not None:
-            return (*solved, False)
-        del factors[key]
-    lu = factors[key] = _factor(system.matrix)
-    x = lu.solve(system.rhs)
-    return x, _relative_residual(system.matrix, x, system.rhs), 0, True
+        lu, x0 = factors[key]
+        x, res, iterations, met = _lagged_solve(system, lu, x0)
+        if met:
+            factors[key] = (lu, x)
+            return x, res, iterations, False
+        del factors[key], lu  # no reference may keep the failed factor alive while the new one is made
+    else:
+        x0 = np.zeros_like(system.rhs)
+    lu = _factor(system.matrix)
+    x, res, _, _ = _lagged_solve(system, lu, x0)
+    factors[key] = (lu, x)
+    return x, res, 0, True
 
 
 def solve_potential(
@@ -496,14 +507,15 @@ def solve_potential(
 
     ``factors`` is an optional cache of SuperLU factors that the caller
     owns and passes to a chain of nearby profiles, keyed by component
-    ``(i_lo, i_hi, n_eta)``. A component with a held factor is solved by
-    conjugate gradients preconditioned with it, to a relative residual of
-    _CG_RTOL and one iteration past it; if meeting _CG_RTOL takes more than
-    _CG_MAX_ITERS iterations, or no factor is held, the component is
-    factored afresh and the new factor kept. Factors of components the
-    profile no longer has are dropped first, so the cache holds at most one
-    factor per component. Without a cache each component is factored,
-    solved once, and its factor dropped.
+    ``(i_lo, i_hi, n_eta)``; each entry is a factor and the component's last
+    solution. A component with a held factor is solved by conjugate
+    gradients preconditioned with it, from that solution, to a relative
+    residual of _CG_RTOL and one iteration past it; if meeting _CG_RTOL takes
+    more than _CG_MAX_ITERS iterations, or no factor is held, the component
+    is factored afresh, solved by the same CG loop with the new factor, and
+    both kept. Factors of components the profile no longer has are dropped
+    first, so the cache holds at most one factor per component. Without a
+    cache each component is factored, solved once, and its factor dropped.
     """
     coincidence = detect_coincidence(profile, gap_threshold)
     if factors is not None:

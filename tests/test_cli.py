@@ -204,12 +204,12 @@ def test_default_run_reports_linear_residual(tmp_path):
 
 @pytest.mark.parametrize(
     "payload, iterations, factorizations",
-    [({}, 2, 1), ({"dielectric": {"V": 3.0}, "grid": {"nx": 128, "neta": 64}}, 10, 2)],
+    [({}, 2, 1), ({"dielectric": {"V": 3.0}, "grid": {"nx": 128, "neta": 64}}, 5, 2)],
 )
 def test_descent_factors_about_once(tmp_path, payload, iterations, factorizations):
     """The descent reuses its first factor: the default run factors once, V = 3
-    at 128x64 at most twice over its 10 iterations (one per solve without
-    the cache: 3 and 11), and both converge as they did."""
+    at 128x64 at most twice over its 5 quasi-Newton iterations (one per solve
+    without the cache: 3 and 6), and both converge."""
     out = tmp_path / "out"
     assert cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
     summary = json.loads((out / "run.json").read_text(encoding="utf-8"))
@@ -220,6 +220,43 @@ def test_descent_factors_about_once(tmp_path, payload, iterations, factorization
     assert diagnostics["solves"] == summary["iterations"] + 1
     assert diagnostics["linear_iterations"] > 0
     assert diagnostics["linear_residual_max"] <= 1e-10
+
+
+POLY_SIGMA = {"kind": "polynomial", "coeffs": [1.0, 0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "payload, max_solves, touchdown",
+    [
+        pytest.param(
+            {"dielectric": {"V": 7.0}, "grid": {"nx": 64, "neta": 32}, "minimize": {"max_iters": 59}},
+            60,
+            True,
+            id="touchdown_v7",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the residual's continuum force is not the discrete energy's gradient beside contact "
+                "(ROADMAP item 1), so the line search stalls at stationarity ~0.6",
+            ),
+        ),
+        pytest.param(
+            {"dielectric": {"V": 5.0, "sigma": POLY_SIGMA}, "grid": {"nx": 128, "neta": 64}},
+            20,
+            False,
+            id="poly_sigma_v5",
+        ),
+    ],
+)
+def test_quasi_newton_converges_within_budget(tmp_path, payload, max_solves, touchdown):
+    """Configurations the M-preconditioned descent could not finish converge
+    within a solve budget (V = 7: 7,098 solves to max_iters before; polynomial
+    sigma at V = 5: 659 solves to max_iters)."""
+    out = tmp_path / "out"
+    cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)])
+    summary = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    assert summary["status"] == "converged"
+    assert summary["diagnostics"]["solves"] <= max_solves
+    assert (summary["residual"]["active_count"] > 0) == touchdown
 
 
 def test_odd_cell_count_runs(tmp_path):

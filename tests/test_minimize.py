@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from conftest import count_solves
 
@@ -9,7 +10,9 @@ from beamgap.energy import second_differences, total_energy
 from beamgap.geometry import DeflectionProfile
 from beamgap.minimize import (
     _MAX_BACKTRACKS,
+    _PAIRS,
     MinimizeOptions,
+    _SecantPairs,
     _apply_d4,
     _banded_hessian,
     _residual_vector,
@@ -163,7 +166,7 @@ def test_each_trial_point_solved_once(monkeypatch, V):
 
     V = 20 touches down, backtracks and ends in a failed line search, whose
     _MAX_BACKTRACKS + 1 rejected trials leave no history row but are
-    counted in ``counts.solves``.
+    counted in ``counts.solves`` and ``counts.backtracks``.
     """
     model, constants, initial = small_setup(V)
     calls = count_solves(monkeypatch, ("minimize",))
@@ -175,6 +178,8 @@ def test_each_trial_point_solved_once(monkeypatch, V):
     assert (backtracks > 0) == (V == 20.0)
     assert len(calls) == 1 + len(res.history) + backtracks + (_MAX_BACKTRACKS + 1) * failed
     assert res.counts.solves == len(calls)
+    assert res.counts.backtracks == backtracks + (_MAX_BACKTRACKS + 1) * failed
+    assert res.history[-1].solves == len(calls) - (_MAX_BACKTRACKS + 1) * failed
     assert len({p.u.tobytes() for p in calls}) == len(calls)
     assert res.field.profile is res.profile
 
@@ -226,3 +231,65 @@ def test_hessian_folds_the_residual_ghost_rule(bc_mode, n_cells):
     dense += np.diag(ab[0, 2:], 2) + np.diag(ab[0, 2:], -2)
     expected = beta * _apply_d4(p) - coef * second_differences(p)[1:-1]
     assert np.max(np.abs(dense @ u[1:-1] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+# ---------------------------------------------------------------- quasi-Newton direction
+
+
+def quadratic_iterates(n: int, count: int):
+    """Iterates u and residuals r = B u of a convex quadratic, with the M of a clamped beam."""
+    rng = np.random.default_rng(7)
+    q = rng.normal(size=(n, n))
+    hess = q @ q.T + n * np.eye(n)
+    ab = _banded_hessian(n, 2.0 / (n + 1), 1.0, 1.0, 0.3, pen_diag=np.zeros(n))
+    us = [rng.normal(size=n) for _ in range(count)]
+    return ab, [(u, hess @ u) for u in us]
+
+
+def test_empty_memory_gives_the_preconditioned_residual():
+    """With no pairs the direction is -M^-1 r bit for bit, so every run starts as before."""
+    ab, [(_, r)] = quadratic_iterates(31, 1)
+    assert np.array_equal(_SecantPairs().apply(ab, r), solveh_banded(ab, r))
+
+
+def test_two_loop_meets_the_newest_secant_equation():
+    """H y = s for the newest pair, and the memory holds at most _PAIRS pairs."""
+    ab, iterates = quadratic_iterates(31, _PAIRS + 3)
+    memory = _SecantPairs()
+    free = np.ones(31, dtype=bool)
+    for u, r in iterates:
+        memory.observe(u, r, free)
+    assert len(memory.pairs) == _PAIRS
+    s, y, _ = memory.pairs[-1]
+    assert np.linalg.norm(memory.apply(ab, y) - s) <= 1e-10 * np.linalg.norm(s)
+
+
+def test_memory_cleared_when_the_active_set_changes():
+    """A new active set drops every pair and counts one reset; pairs vanish at active nodes."""
+    _, iterates = quadratic_iterates(31, 4)
+    memory = _SecantPairs()
+    free = np.ones(31, dtype=bool)
+    for u, r in iterates[:3]:
+        memory.observe(u, r, free)
+    assert len(memory.pairs) == 2 and memory.resets == 0
+    free = free.copy()
+    free[5] = False
+    memory.observe(*iterates[3], free)
+    assert not memory.pairs and memory.resets == 1
+    memory.observe(*iterates[0], free)
+    (s, y, _), = memory.pairs
+    assert s[5] == 0.0 and y[5] == 0.0
+    memory.clear()
+    memory.clear()
+    assert memory.resets == 2  # clearing an empty memory is not a reset
+
+
+def test_history_reports_solves_and_step():
+    """Each history row carries the solves made so far and max |du| of its accepted step."""
+    model, constants, initial = small_setup(0.5)
+    one = minimize(initial, model, constants, MinimizeOptions(n_eta=32, max_iters=1))
+    (row,) = one.history
+    assert row.solves == one.counts.solves == 2
+    assert row.max_du == np.max(np.abs(one.profile.u - initial.u)) > 0.0
+    full = minimize(initial, model, constants, MinimizeOptions(n_eta=32))
+    assert [row.solves for row in full.history] == list(range(2, full.iterations + 2))

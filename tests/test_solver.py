@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu, spsolve
@@ -330,6 +332,25 @@ def test_lagged_factor_refactors_when_cg_is_slow(unit_model, monkeypatch):
     assert comp.factored and comp.iterations == 0
     assert comp.residual <= solver._CG_RTOL
     assert factors[0, 128, 64] is not flat_factor
+
+
+def test_failed_factor_is_released_before_the_new_one_is_made(unit_model, monkeypatch):
+    """When CG on a held factor fails, no reference to that factor is left while
+    the component is factored afresh, so the cache never holds two factors'
+    memory for one component."""
+    factors = {}
+    solve_potential(bump(128, 0.0), unit_model, n_eta=64, factors=factors)
+    old = factors[0, 128, 64][0]
+    held = sys.getrefcount(old)
+    at_factor = []
+
+    def recording_splu(*args, **kwargs):
+        at_factor.append(sys.getrefcount(old))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", recording_splu)
+    solve_potential(bump(128, -0.3), unit_model, n_eta=64, factors=factors)
+    assert at_factor == [held - 1]  # the cache's reference is gone; only this test's is left
 
 
 def test_changed_components_do_not_share_factors(unit_model, monkeypatch):
