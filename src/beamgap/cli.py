@@ -359,7 +359,7 @@ def run_single(cfg: dict, out_dir: Path, verify: bool = False) -> tuple[int, dic
             "active_count": int(np.count_nonzero(result.residual.active_mask)),
             "linear_max": max((c.residual for c in result.field.components), default=0.0),
         },
-        "diagnostics": dataclasses.asdict(result.counts),
+        "diagnostics": {**dataclasses.asdict(result.counts), "contact_components": coincidence.contact_components},
         "profile": {
             "min_u": float(np.min(profile.u)),
             "max_u": float(np.max(profile.u)),

@@ -7,9 +7,12 @@ rule), ||u'||^2 the cell-midpoint rule on ``DeflectionProfile.cell_slopes``,
 and the penalty the trapezoid rule of (u - k)_+^2.
 These pair exactly with the D4/D2 rows of the minimizer's residual r: the
 nodal gradient of the mechanical and penalty parts is h times those rows at
-every interior node. The field term reuses the solver's mapped Gauss quadrature on the
-reconstructed potential and the lumped trapezoid bottom term, so the
-electrostatic energy is exactly the negative of the discrete functional the
+every interior node. The field and bottom terms of each component are the
+ones ``solve_potential`` read off the system it solved, J(chi) = 1/2 x'Kx -
+b'x + J(0) (the solver docstring), which equal the solver's mapped Gauss
+quadrature of the reconstructed potential and the lumped trapezoid bottom
+term (``solver.functional_quadratic_parts``, the reference) to round-off, so
+the electrostatic energy is the negative of the discrete functional the
 solver minimizes.
 """
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from .geometry import DeflectionProfile, detect_coincidence
 from .model import DielectricModel, ModelConstants
-from .solver import PotentialField, _trapezoid_weights, functional_quadratic_parts, solve_potential
+from .solver import PotentialField, _trapezoid_weights, solve_potential
 
 __all__ = [
     "MechanicalEnergy",
@@ -146,20 +149,17 @@ def electrostatic_energy(
 ) -> ElectrostaticEnergy:
     """Electrostatic energy -1/2 int |grad psi|^2 - 1/2 int sigma (psi - frak_h)^2.
 
-    The field integral runs over the non-contact components with the solver's
-    mapped quadrature of the reconstructed psi = chi + h_v; contact intervals
-    contribute zero field area and a bottom term with the Dirichlet datum
-    h(x, -H, -H). Pass a precomputed ``field`` to skip the solve.
+    The field and bottom terms of the non-contact components are those the
+    solve read off its systems (``ComponentSolution.field_term`` and
+    ``.bottom_term``); contact intervals contribute zero field area and a
+    bottom term with the Dirichlet datum h(x, -H, -H). Pass a precomputed
+    ``field`` to skip the solve.
     """
     if field is None:
         field = solve_potential(profile, model, n_eta=n_eta, gap_threshold=gap_threshold)
 
-    field_term = 0.0
-    boundary_term = 0.0
-    for comp in field.components:
-        f_part, b_part = functional_quadratic_parts(comp.mesh, comp.datum, comp.chi)
-        field_term += f_part
-        boundary_term += b_part
+    field_term = sum((comp.field_term for comp in field.components), 0.0)
+    boundary_term = sum((comp.bottom_term for comp in field.components), 0.0)
     boundary_term += _contact_boundary_term(profile, model, field)
     return ElectrostaticEnergy(field_term=field_term, boundary_term=boundary_term)
 

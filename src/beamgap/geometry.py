@@ -176,6 +176,11 @@ class CoincidenceSet:
     def contact_fraction(self) -> float:
         return float(np.count_nonzero(self.contact_mask)) / self.contact_mask.size
 
+    @property
+    def contact_components(self) -> int:
+        """Number of maximal contact runs, one between each two consecutive components."""
+        return len(self.components) - 1
+
 
 def detect_coincidence(profile: DeflectionProfile, gap_threshold: float | None = None) -> CoincidenceSet:
     """Split the grid into contact nodes and maximal non-contact components.

@@ -15,9 +15,9 @@ first derivatives of h only:
     B2 = -eta v' (h_x + h_w v') + h_z.
 
 Discretization: bilinear elements, 2x2 Gauss per cell, lumped trapezoid Robin
-mass on the bottom edge. The same quadratures are reused by the energy module
-so that the discrete electrostatic energy is exactly the negative of the
-minimized discrete functional.
+mass on the bottom edge. The discrete electrostatic energy is the negative
+of the minimized discrete functional in these quadratures (see Energy
+below).
 
 The map is stored per axis (geometry.MappedMesh), so the stiffness is a sum
 of five Kronecker products of 1-D tridiagonal cell factors,
@@ -28,18 +28,34 @@ of five Kronecker products of 1-D tridiagonal cell factors,
 ((x) the Kronecker product, x factor first; K stiffness, M mass, D and C
 the derivative-times-value factors, the bracket the weight at the Gauss
 points), plus the lumped Robin diagonal. Its nine stencil arrays come out of
-one contraction of the stacked factors and are written straight into a CSC
-matrix in the dissection numbering below.
+one contraction of the stacked factors. Everything else about the CSC matrix
+depends on the grid shape alone: ``_csc_plan`` holds, for a grid shape and
+cached for the last one asked for, the sorted ``indptr`` and ``indices`` in
+the dissection numbering below and, for each entry, the flat index of its
+value in the stencil arrays (an entry below or left of the centre reads its
+mirror's, so the matrix is exactly symmetric). Assembly is then one gather
+into that read-only structure, the
+split of symbolic from numeric work of sparse direct methods (Davis,
+*Direct Methods for Sparse Linear Systems*, SIAM 2006).
 The datum h_v is evaluated once per component solve, on the broadcast
 quadrature axes (sigma at 2 n_x points); the load and the energy both read
 that one evaluation from ``ComponentSolution.datum``.
+
+Energy: for a field theta vanishing on the Dirichlet edges, with free part
+t, the quadratic functional is J(theta) = 1/2 t'Kt - b't + J(0), where in
+J(0) the pull-back of A cancels: its field part is 1/2 sum w G (dxh^2 +
+hz^2) over the Gauss points. So each component's field and bottom terms
+at the solved chi (the negative of its electrostatic energy) are read off
+the system just solved, with one product by K, rather than by a second
+quadrature; ``functional_quadratic_parts`` is that quadrature, kept as the
+reference.
 
 Linear solve: the same at every system size. Assembly numbers the free
 nodes of each component in nested-dissection order (George 1973; Lipton,
 Rose & Tarjan 1979): the (n_x-1) x n_eta node grid is bisected across its
 longer side by one line of nodes, recursively down to blocks of at most 2x2
 nodes, and each separator line is numbered after its two halves. The order
-depends on the grid shape alone and is computed once per shape. The matrix
+depends on the grid shape alone and enters the shape's CSC plan. The matrix
 is written in that order, so SuperLU factors it with the NATURAL column
 order and no pivoting (the system is SPD); ``_factor`` is the one
 factorization call.
@@ -53,9 +69,14 @@ relative residual of _CG_RTOL = 1e-12 and one iteration past it, and is
 factored afresh only when CG needs more than _CG_MAX_ITERS = 8 iterations
 to meet _CG_RTOL or no factor is held (the lagged-Jacobian preconditioning
 of Knoll & Keyes, J. Comput. Phys. 193, 2004). A fresh factor serves its
-own first solve through the same CG loop, so every cached solve meets
-_CG_RTOL. Stale and failed factors are dropped before a new one is made,
-so the dict holds at most one factor (and solution) per component.
+own first solve through the same CG loop. CG returns its best iterate: past
+the round-off floor of the system its residual grows again. Where that
+floor lies above _CG_RTOL (1-2e-12 for a direct solve at 512x256), the
+fresh solve stops above it too, and the factor is then held to
+_CG_FLOOR_FACTOR = 2 times the residual its own fresh solve reached instead
+of _CG_RTOL (the floor rule); elsewhere every cached solve meets _CG_RTOL.
+Stale and failed factors are dropped before a new one is made, so the dict
+holds at most one factor (and solution, and tolerance) per component.
 """
 
 from __future__ import annotations
@@ -117,6 +138,8 @@ class LinearSystem:
 
     ``free_nodes`` is the node index of each dof, in dissection order: dof d
     is node ``free_nodes[d]`` of the row-major (n_x+1, n_eta+1) grid.
+    ``source_rhs`` is the part of ``rhs`` that a manufactured source adds
+    (None without one); the rest is the load of the datum.
     """
 
     matrix: sp.csc_matrix
@@ -125,6 +148,7 @@ class LinearSystem:
     n_x: int
     n_eta: int
     datum: Datum
+    source_rhs: np.ndarray | None = None
 
     def symmetry_error(self) -> float:
         d = self.matrix - self.matrix.T
@@ -133,12 +157,14 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class ComponentSolution:
-    """Nodal chi on one component mesh, the datum it was solved for, and how it was solved.
+    """Nodal chi on one component mesh, the datum it was solved for, its energy, and how it was solved.
 
-    ``residual`` is the relative residual of the solve, ``iterations`` the
-    conjugate-gradient iterations of a solve by a lagged factor (0 when the
-    solve made its own factor), and ``factored`` whether the solve made a
-    SuperLU factorization.
+    ``field_term`` and ``bottom_term`` are the two parts of the quadratic
+    functional at chi (``functional_quadratic_parts``), read off the solved
+    system. ``residual`` is the relative residual of the solve,
+    ``iterations`` the conjugate-gradient iterations of a solve by a lagged
+    factor (0 when the solve made its own factor), and ``factored`` whether
+    the solve made a SuperLU factorization.
     """
 
     mesh: MappedMesh
@@ -147,6 +173,8 @@ class ComponentSolution:
     datum: Datum
     iterations: int
     factored: bool
+    field_term: float
+    bottom_term: float
 
 
 @dataclass(frozen=True)
@@ -239,6 +267,66 @@ def _dissection_order(n_rows: int, n_cols: int) -> np.ndarray:
     order = block(n_rows, n_cols)
     order.flags.writeable = False
     return order
+
+
+@dataclass(frozen=True)
+class _CscPlan:
+    """The CSC structure of one grid shape's reduced system, and where its values come from.
+
+    ``indptr`` and ``indices`` are the canonical CSC structure in dissection
+    numbering (rows sorted within each column); entry e takes its value from
+    the flat index ``source[e]`` of the stencil array (3, 3, n_x - 1, n_eta)
+    of ``assemble``. ``free_nodes`` is the node index of each dof.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    source: np.ndarray
+    free_nodes: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _csc_plan(n_x: int, n_eta: int) -> _CscPlan:
+    """The CSC plan of the system of an n_x x n_eta cell grid, int32 and read-only.
+
+    Column d is free node (i + 1, j) = divmod(order[d], n_eta) of the
+    dissection order; its rows are the ranks of its nine neighbours (i + a,
+    j + b - 1), read from a padded rank grid in which the Dirichlet nodes
+    (top row and lateral columns, chi = 0) and the row below the bottom hold
+    n_free and drop out. An entry below or left of the centre (a = 0, or a =
+    1 and b = 0) reads its mirror's value, stencil[2 - a, 2 - b] at the
+    neighbour, so the matrix is exactly symmetric. scipy sorts the rows of
+    each column, with the value positions as the matrix data.
+
+    Cached for the last shape asked for: a descent below touchdown meets
+    one shape. A plan takes 10 MB at 512x256, and keeping those of unrelated
+    profiles' components raised the peak memory of a stream of 512x256
+    field solves by 4-10 % (two to eight shapes kept, against 1 % for one).
+    """
+    n_free = (n_x - 1) * n_eta
+    order = _dissection_order(n_x - 1, n_eta)
+    i, j = np.divmod(order, n_eta)
+    a, b = np.divmod(np.arange(9), 3)
+    rank = np.full((n_x + 1) * (n_eta + 2), n_free, dtype=np.int32)  # eta nodes -1 .. n_eta
+    rank[(i + 1) * (n_eta + 2) + j + 1] = np.arange(n_free, dtype=np.int32)
+    rows = rank[(i * (n_eta + 2) + j)[:, None] + (a * (n_eta + 2) + b)]
+    mirrored = (a == 0) | ((a == 1) & (b == 0))
+    shift = np.where(mirrored, (8 - np.arange(9)) * n_free + (a - 1) * n_eta + (b - 1), np.arange(9) * n_free)
+    source = (order[:, None] + shift).astype(np.int32)
+    keep = rows < n_free
+    indptr = np.zeros(n_free + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    positions = sp.csc_matrix((source[keep], rows[keep], indptr), shape=(n_free, n_free))
+    positions.sort_indices()
+    plan = _CscPlan(
+        indptr=positions.indptr,
+        indices=positions.indices,
+        source=positions.data,
+        free_nodes=((i + 1) * (n_eta + 1) + j).astype(np.int32),
+    )
+    for arr in (plan.indptr, plan.indices, plan.source, plan.free_nodes):
+        arr.flags.writeable = False
+    return plan
 
 
 def _evaluate_datum(mesh: MappedMesh, model: DielectricModel) -> Datum:
@@ -344,28 +432,8 @@ def assemble(
     stencil = np.matmul(x_fac[:, 1:-1].transpose(2, 1, 0)[:, None], e_fac[:, :-1].transpose(2, 0, 1)[None])
     # lumped Robin mass on eta = 0 (interior nodes have trapezoid weight 1)
     stencil[1, 1, :, 0] += datum.sigma[1:-1] * dx
-    # each entry below or left of the centre is its mirror's, so the matrix is exactly symmetric
-    stencil[0, 0, 1:, 1:] = stencil[2, 2, :-1, :-1]
-    stencil[0, 1, 1:, :] = stencil[2, 1, :-1, :]
-    stencil[0, 2, 1:, :-1] = stencil[2, 0, :-1, 1:]
-    stencil[1, 0, :, 1:] = stencil[1, 2, :, :-1]
-
-    # column d of the CSC matrix is free node (i + 1, j) = divmod(order[d], n_eta);
-    # its rows are the dissection ranks of its nine neighbours, read from a
-    # padded rank grid in which the Dirichlet nodes (top row and lateral
-    # columns, chi = 0) and the row below the bottom hold n_free and drop out
-    order = _dissection_order(n_x - 1, n_eta)
-    i, j = np.divmod(order, n_eta)
-    offsets = np.arange(3)[:, None]
-    rank = np.full((n_x + 1) * (n_eta + 2), n_free, dtype=np.int32)  # eta nodes -1 .. n_eta
-    rank[(i + 1) * (n_eta + 2) + j + 1] = np.arange(n_free, dtype=np.int32)
-    rows = rank[(i * (n_eta + 2) + j)[:, None] + (offsets * (n_eta + 2) + offsets.T).reshape(-1)]
-    vals = stencil.reshape(9, n_free)[:, order].T.copy()
-    keep = rows < n_free
-    indptr = np.zeros(n_free + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    mat = sp.csc_matrix((vals[keep], rows[keep], indptr), shape=(n_free, n_free))
-    mat.sort_indices()  # splu sorts an unsorted matrix in place; the system keeps it canonical
+    plan = _csc_plan(n_x, n_eta)
+    mat = sp.csc_matrix((np.take(stencil, plan.source), plan.indices, plan.indptr), shape=(n_free, n_free))
 
     # load: volume part from the pulled-back gradient of h_v, then the bottom datum
     load = np.zeros((n_x + 1, n_eta + 1))
@@ -373,18 +441,22 @@ def assemble(
     _add_moments(load, -mesh.eta_q * mesh.slope_q * datum.dxh + datum.hz, _N, dne)
     load *= -(wx * we)
     load[1:-1, 0] -= datum.sigma[1:-1] * dx * datum.bottom[1:-1]
+    rhs, source_rhs = load.reshape(-1)[plan.free_nodes], None
     if source is not None:
         f_q = np.asarray(source(mesh.x_q, mesh.z_q()), dtype=float) * mesh.gap_q
-        _add_moments(load, f_q * (wx * we), _N, _N)
+        source_load = np.zeros_like(load)
+        _add_moments(source_load, f_q * (wx * we), _N, _N)
+        source_rhs = source_load.reshape(-1)[plan.free_nodes]
+        rhs = rhs + source_rhs
 
-    free_nodes = (i + 1) * (n_eta + 1) + j
     return LinearSystem(
         matrix=mat,
-        rhs=load.reshape(-1)[free_nodes],
-        free_nodes=free_nodes,
+        rhs=rhs,
+        free_nodes=plan.free_nodes,
         n_x=n_x,
         n_eta=n_eta,
         datum=datum,
+        source_rhs=source_rhs,
     )
 
 
@@ -394,6 +466,10 @@ def assemble(
 # the matrix factored afresh
 _CG_RTOL = 1e-12
 _CG_MAX_ITERS = 8
+# a factor whose own fresh solve stops above _CG_RTOL (the round-off floor of
+# the system is higher: 1.1-1.3e-12 at 512x256) is held to this multiple of
+# the residual that solve reached instead
+_CG_FLOOR_FACTOR = 2.0
 
 
 def _factor(matrix: sp.csc_matrix):
@@ -420,16 +496,19 @@ def _solve_system(system: LinearSystem) -> tuple[np.ndarray, float]:
     return x, _relative_residual(a, x, b)
 
 
-def _lagged_solve(system: LinearSystem, lu, x0: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
+def _lagged_solve(
+    system: LinearSystem, lu, x0: np.ndarray, rtol: float = _CG_RTOL
+) -> tuple[np.ndarray, float, int, bool]:
     """Conjugate gradients on the system from ``x0``, preconditioned with the
     factor ``lu`` of the same or an earlier matrix of the same shape (both
     SPD, so the preconditioner is too).
 
     Returns (x, relative residual, iterations taken, whether the true
-    residual met _CG_RTOL within _CG_MAX_ITERS iterations). Once it does, one
-    more iteration is taken and the iterate with the smaller residual kept:
-    that step takes the residual to the round-off floor of the factor, so a
-    lagged solve is no less accurate than a fresh one.
+    residual met ``rtol`` within _CG_MAX_ITERS iterations). Once it does, one
+    more iteration is taken: that step takes the residual to the round-off
+    floor of the factor, so a lagged solve is no less accurate than a fresh
+    one. Past that floor the residual grows again, so the iterate with the
+    smallest residual is returned, whether ``rtol`` was met or not.
     """
     a, b = system.matrix, system.rhs
     b_norm = float(np.linalg.norm(b))
@@ -440,48 +519,49 @@ def _lagged_solve(system: LinearSystem, lu, x0: np.ndarray) -> tuple[np.ndarray,
     z = lu.solve(r)
     p = z
     rz = float(r @ z)
-    met = None
+    best_res, best_x = np.inf, x
+    met = False
     for iterations in range(1, _CG_MAX_ITERS + 2):
         x = x + (rz / float(p @ (a @ p))) * p
         r = b - a @ x
         res = float(np.linalg.norm(r)) / b_norm
-        if met is not None:
+        if res < best_res:
+            best_res, best_x = res, x
+        if met or (res > rtol and iterations == _CG_MAX_ITERS):
             break
-        if res <= _CG_RTOL:
-            met = (x, res)
-        elif iterations == _CG_MAX_ITERS:
-            return x, res, iterations, False
+        met = res <= rtol
         z = lu.solve(r)
         rz, rz_old = float(r @ z), rz
         p = z + (rz / rz_old) * p
-    x, res = min(met, (x, res), key=lambda solved: solved[1])
-    return x, res, iterations, True
+    return best_x, best_res, iterations, met
 
 
 def _cached_solve(system: LinearSystem, factors: dict, key: tuple) -> tuple[np.ndarray, float, int, bool]:
     """Solve by the factor held under ``key`` if it serves, else by a fresh one kept there.
 
-    Each entry holds a factor and the component's last solution, from which
-    CG starts. Returns (x, relative residual, CG iterations on a held factor,
-    whether a factor was made). A held factor that fails is dropped before
-    the new one is made; the new one serves its own solve through the same
-    CG loop (1-2 iterations, not counted), so every cached solve meets
-    _CG_RTOL.
+    Each entry holds a factor, the component's last solution, from which CG
+    starts, and the tolerance the factor is held to. Returns (x, relative
+    residual, CG iterations on a held factor, whether a factor was made). A
+    held factor that fails is dropped before the new one is made; the new
+    one serves its own solve through the same CG loop (1-2 iterations, not
+    counted). That solve sets the tolerance: _CG_RTOL if it met it, else
+    _CG_FLOOR_FACTOR times the residual it reached, so every cached solve
+    meets _CG_RTOL wherever the system's round-off floor allows it.
     """
     if system.rhs.size == 0:
         return np.zeros(0), 0.0, 0, False
     if key in factors:
-        lu, x0 = factors[key]
-        x, res, iterations, met = _lagged_solve(system, lu, x0)
+        lu, x0, rtol = factors[key]
+        x, res, iterations, met = _lagged_solve(system, lu, x0, rtol)
         if met:
-            factors[key] = (lu, x)
+            factors[key] = (lu, x, rtol)
             return x, res, iterations, False
         del factors[key], lu  # no reference may keep the failed factor alive while the new one is made
     else:
         x0 = np.zeros_like(system.rhs)
     lu = _factor(system.matrix)
-    x, res, _, _ = _lagged_solve(system, lu, x0)
-    factors[key] = (lu, x)
+    x, res, _, met = _lagged_solve(system, lu, x0)
+    factors[key] = (lu, x, _CG_RTOL if met else _CG_FLOOR_FACTOR * res)
     return x, res, 0, True
 
 
@@ -498,7 +578,8 @@ def solve_potential(
     The x-resolution comes from the profile's own grid; ``n_eta`` sets the
     vertical cell count of each mapped rectangle. Contact nodes carry NaN in
     the returned traces. ``source`` is the optional manufactured volume load
-    f(x, z) used by convergence studies.
+    f(x, z) used by convergence studies; it adds to the load but not to the
+    functional, so each component's energy terms leave it out.
 
     A component of one cell has no free node and a component of one node
     (a wall node beside contact) no area: chi = 0 on both, and their traces
@@ -510,9 +591,10 @@ def solve_potential(
     ``(i_lo, i_hi, n_eta)``; each entry is a factor and the component's last
     solution. A component with a held factor is solved by conjugate
     gradients preconditioned with it, from that solution, to a relative
-    residual of _CG_RTOL and one iteration past it; if meeting _CG_RTOL takes
-    more than _CG_MAX_ITERS iterations, or no factor is held, the component
-    is factored afresh, solved by the same CG loop with the new factor, and
+    residual of _CG_RTOL (or the floor rule's tolerance, see the module
+    docstring) and one iteration past it; if that takes more than
+    _CG_MAX_ITERS iterations, or no factor is held, the component is
+    factored afresh, solved by the same CG loop with the new factor, and
     both kept. Factors of components the profile no longer has are dropped
     first, so the cache holds at most one factor per component. Without a
     cache each component is factored, solved once, and its factor dropped.
@@ -541,9 +623,17 @@ def solve_potential(
             x, res, iterations, factored = _cached_solve(system, factors, (i_lo, i_hi, n_eta))
         chi = np.zeros((mesh.n_x + 1, mesh.n_eta + 1))
         chi.reshape(-1)[system.free_nodes] = x
+        field_term, bottom_term = _solved_parts(system, mesh, chi, x)
         solutions.append(
             ComponentSolution(
-                mesh=mesh, chi=chi, residual=res, datum=system.datum, iterations=iterations, factored=factored
+                mesh=mesh,
+                chi=chi,
+                residual=res,
+                datum=system.datum,
+                iterations=iterations,
+                factored=factored,
+                field_term=field_term,
+                bottom_term=bottom_term,
             )
         )
 
@@ -593,10 +683,34 @@ def functional_quadratic_parts(mesh: MappedMesh, datum: Datum, theta: np.ndarray
     quad = mesh.a11 * wx * wx + 2.0 * mesh.a12 * wx * we + mesh.a22 * we * we
     field = 0.5 * (dx * de / 4.0) * float(np.sum(quad))
 
-    w_bot = dx * _trapezoid_weights(n_x + 1)
-    trace = theta[:, 0] + datum.bottom
-    bottom = 0.5 * float(np.sum(w_bot * datum.sigma * trace**2))
-    return field, bottom
+    return field, _bottom_term(mesh, datum, theta[:, 0])
+
+
+def _bottom_term(mesh: MappedMesh, datum: Datum, trace: np.ndarray) -> float:
+    """Lumped trapezoid bottom term 1/2 sum w sigma (theta + h(., -H, v) - frak_h)^2 of a bottom trace of theta."""
+    w_bot = mesh.dx * _trapezoid_weights(mesh.n_x + 1)
+    return 0.5 * float(np.sum(w_bot * datum.sigma * (trace + datum.bottom) ** 2))
+
+
+def _solved_parts(system: LinearSystem, mesh: MappedMesh, chi: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """(field term, bottom term) of the quadratic functional at the solved chi, read off its system.
+
+    For a nodal field theta that vanishes on the Dirichlet edges, with free
+    part t, the functional is J(theta) = 1/2 t'Kt - b't + J(0), where b is
+    the datum's load (a manufactured source's part left out). In J(0) the
+    pull-back of A cancels, a11 p^2 + 2 a12 p q + a22 q^2 = G (dxh^2 + hz^2)
+    for the datum's gradient (p, q), so its field part is 1/2 sum w G (dxh^2
+    + hz^2) over the Gauss points. The bottom term at chi is its own 1-D sum
+    and the field term is J(chi) minus it; both equal those of
+    ``functional_quadratic_parts`` to round-off.
+    """
+    datum = system.datum
+    grad_sq = np.broadcast_to(mesh.gap_q * (datum.dxh**2 + datum.hz**2), (mesh.n_x, 2, mesh.n_eta, 2))
+    j_zero = 0.5 * (mesh.dx * mesh.deta / 4.0) * float(np.sum(grad_sq)) + _bottom_term(mesh, datum, 0.0)
+    b = system.rhs if system.source_rhs is None else system.rhs - system.source_rhs
+    j_chi = 0.5 * float(x @ (system.matrix @ x)) - float(b @ x) + j_zero
+    bottom = _bottom_term(mesh, datum, chi[:, 0])
+    return j_chi - bottom, bottom
 
 
 def functional_dual(

@@ -222,6 +222,20 @@ def test_descent_factors_about_once(tmp_path, payload, iterations, factorization
     assert diagnostics["linear_residual_max"] <= 1e-10
 
 
+@pytest.mark.parametrize("payload, runs", [({}, 0), ({"dielectric": {"V": 10.0}, "grid": {"nx": 64, "neta": 32}}, 1)])
+def test_diagnostics_count_contact_components(tmp_path, payload, runs):
+    """``diagnostics.contact_components`` is the number of contact runs of the
+    returned profile, as its ``profile.csv`` contact column shows them. V = 10
+    at 64x32 touches down over one middle run (and ends in
+    ``line_search_failure``, ROADMAP item 1)."""
+    out = tmp_path / "out"
+    cli.main(["run", "--config", write_config(tmp_path, payload), "--out", str(out)])
+    summary = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    contact = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)[:, 3]
+    assert summary["diagnostics"]["contact_components"] == runs
+    assert np.count_nonzero(np.diff(contact) == 1) == runs
+
+
 POLY_SIGMA = {"kind": "polynomial", "coeffs": [1.0, 0.5, 0.5]}
 
 

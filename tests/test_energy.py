@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import mms_setup
 
 from beamgap.energy import (
+    _contact_boundary_term,
     coercivity_offset,
     electrostatic_energy,
     mechanical_energy,
@@ -127,6 +129,47 @@ def test_contact_interval_contributes_datum_energy():
     (_, hi), (lo, _) = comps
     span = p.x_nodes[lo] - p.x_nodes[hi]
     assert contact_piece == pytest.approx(0.5 * V**2 * span, rel=1e-12)
+
+
+def _gate_profile(shape: str, n_cells: int) -> DeflectionProfile:
+    """A bump without contact, or a profile with one or two contact runs."""
+    shapes = {
+        "bump": lambda x: -0.6 * (1.0 - x**2) ** 2 * (1.0 + 0.2 * x),
+        "one_contact": lambda x: np.maximum(-1.0, -2.0 * np.exp(-8.0 * x**2) * (1.0 - x**2)),
+        "two_contact": lambda x: np.maximum(-1.0, -1.2 * np.sin(np.pi * (x + 1.0)) ** 2),
+    }
+    return DeflectionProfile.from_callable(shapes[shape], L=1.0, H=1.0, n_cells=n_cells)
+
+
+@pytest.mark.parametrize("n_cells", [128, 512])
+@pytest.mark.parametrize("shape, n_components", [("bump", 1), ("one_contact", 2), ("two_contact", 3)])
+def test_energy_read_off_the_system_matches_quadrature(shape, n_components, n_cells):
+    """The energy terms the solve reads off its assembled system equal the
+    Gauss quadrature of the functional at the solved chi to 1e-13 relative."""
+    model = make_example_model(V=1.3, sigma=sigma_polynomial([1.0, 0.5, 0.5]), H=1.0, K=1.0)
+    p = _gate_profile(shape, n_cells)
+    field = solve_potential(p, model, n_eta=n_cells // 2)
+    assert len(field.components) == n_components
+    parts = [functional_quadratic_parts(c.mesh, c.datum, c.chi) for c in field.components]
+    ref_field = sum(f for f, _ in parts)
+    ref_bottom = sum(b for _, b in parts) + _contact_boundary_term(p, model, field)
+    elec = electrostatic_energy(p, model, field=field)
+    assert abs(elec.field_term - ref_field) <= 1e-13 * ref_field
+    assert abs(elec.boundary_term - ref_bottom) <= 1e-13 * ref_bottom
+
+
+def test_sourced_field_energy_leaves_the_source_out():
+    """A manufactured source adds to the load but not to the functional, so
+    the energy read off a sourced solve leaves the source's load out and still
+    equals the quadrature of the functional at the solved chi."""
+    _, source = mms_setup()
+    model = make_zero_data_model(sigma=1.0, H=1.0)
+    p = bump(32, amp=-0.4)
+    (comp,) = solve_potential(p, model, n_eta=16, source=source).components
+    field, bottom = functional_quadratic_parts(comp.mesh, comp.datum, comp.chi)
+    assert field > 0.1 and bottom > 0.01
+    assert comp.field_term == pytest.approx(field, rel=1e-13)
+    assert comp.bottom_term == pytest.approx(bottom, rel=1e-13)
 
 
 # ---------------------------------------------------------------- report and penalty

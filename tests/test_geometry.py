@@ -90,6 +90,23 @@ def test_touching_profile_splits_components():
     assert 0.0 < cs.contact_fraction < 1.0
 
 
+@pytest.mark.parametrize(
+    "f, runs",
+    [
+        (lambda x: -0.5 * (1.0 - x**2) ** 2, 0),
+        (lambda x: np.maximum(-1.0, -2.0 * np.exp(-8.0 * x**2) * (1.0 - x**2)), 1),
+        (lambda x: np.maximum(-1.0, -1.2 * np.sin(np.pi * (x + 1.0)) ** 2), 2),
+    ],
+    ids=["bump", "middle_band", "pocket"],
+)
+def test_contact_components_count_the_contact_runs(f, runs):
+    """One contact run between each two consecutive components: none for a
+    bump, one for a middle band at -H, two for a pocket between two bands."""
+    cs = detect_coincidence(DeflectionProfile.from_callable(f, L=1.0, H=1.0, n_cells=128))
+    assert cs.contact_components == runs
+    assert np.count_nonzero(np.diff(cs.contact_mask.astype(int)) == 1) == runs
+
+
 def test_gap_threshold_scales_with_H():
     assert default_gap_threshold(1.0) == pytest.approx(1e-8)
     assert default_gap_threshold(2.0) == pytest.approx(2e-8)

@@ -15,6 +15,7 @@ from beamgap.force import compute_force
 from beamgap.geometry import DeflectionProfile, build_mapped_mesh, detect_coincidence
 from beamgap.model import make_example_model, make_zero_data_model, sigma_polynomial
 from beamgap.solver import (
+    _csc_plan,
     _dissection_order,
     _solve_system,
     assemble,
@@ -92,6 +93,23 @@ def test_assembly_matches_cellwise_reference(case):
     assert np.max(np.abs((matrix - ref_matrix).toarray())) <= 1e-14 * np.max(np.abs(ref_matrix.data))
     assert np.max(np.abs(system.rhs[by_node] - ref_rhs)) <= 1e-14 * np.max(rhs_scale)
     assert system.symmetry_error() == 0.0
+
+
+def test_assembly_reads_the_cached_csc_plan(unit_model):
+    """The matrix is canonical CSC whose structure arrays are the read-only
+    int32 plan cached for its grid shape; the dof map is the plan's too."""
+    p = bump(64)
+    system = assemble(build_mapped_mesh(p, (0, 64), n_eta=32), unit_model, p)
+    plan = _csc_plan(64, 32)
+    assert _csc_plan(64, 32) is plan
+    assert system.matrix.has_canonical_format
+    assert np.shares_memory(system.matrix.indices, plan.indices)
+    assert np.shares_memory(system.matrix.indptr, plan.indptr)
+    assert system.free_nodes is plan.free_nodes
+    assert system.matrix.nnz == plan.source.size
+    for arr in (plan.indptr, plan.indices, plan.source, plan.free_nodes):
+        assert arr.dtype == np.int32
+        assert not arr.flags.writeable
 
 
 @pytest.mark.parametrize("shape", [(0, 8), (1, 5), (5, 1), (40, 3), (127, 64)])
@@ -366,3 +384,25 @@ def test_changed_components_do_not_share_factors(unit_model, monkeypatch):
     assert len(held) == 2 and all(not (h - keys) for h in held)
     assert set(factors) == keys
     assert all(c.factored and c.iterations == 0 and c.residual <= 1e-12 for c in field.components)
+
+
+def test_lagged_factor_is_held_to_the_round_off_floor_at_512x256(unit_model, monkeypatch):
+    """At 512x256 a direct solve stops above _CG_RTOL (1-2e-12), so no CG
+    iterate can meet it. A fresh cached solve still returns an iterate no
+    worse than its factor's direct solve, and a chain of nearby profiles
+    keeps that factor: it is held to _CG_FLOOR_FACTOR times the residual of
+    its own fresh solve."""
+    factors = {}
+    held = recording_factor(monkeypatch, factors)
+    p = bump(512, -0.2)
+    (fresh,) = solve_potential(p, unit_model, n_eta=256, factors=factors).components
+    system = assemble(build_mapped_mesh(p, (0, 512), n_eta=256), unit_model, p)
+    lu = factors[0, 512, 256][0]
+    direct = solver._relative_residual(system.matrix, lu.solve(system.rhs), system.rhs)
+    assert direct > solver._CG_RTOL
+    assert fresh.factored and fresh.residual <= direct
+    for amp in (-0.202, -0.204):
+        (comp,) = solve_potential(bump(512, amp), unit_model, n_eta=256, factors=factors).components
+        assert not comp.factored
+        assert comp.residual <= solver._CG_FLOOR_FACTOR * fresh.residual
+    assert len(held) == 1
