@@ -140,21 +140,6 @@ class DeflectionProfile:
         x = np.linspace(-L, L, n_cells + 1)
         return DeflectionProfile(x_nodes=x, u=np.zeros_like(x), bc_mode=bc_mode, H=H)
 
-    def to_csv(self, path) -> None:
-        """Write the profile as two-column CSV (x, u)."""
-        np.savetxt(path, np.column_stack([self.x_nodes, self.u]), delimiter=",", header="x,u", comments="")
-
-    @staticmethod
-    def from_csv(path, H: float, bc_mode: str = "clamped") -> "DeflectionProfile":
-        """Read a two-column CSV (x, u); a one-line header is tolerated."""
-        try:
-            data = np.loadtxt(path, delimiter=",", dtype=float)
-        except ValueError:
-            data = np.loadtxt(path, delimiter=",", dtype=float, skiprows=1)
-        if data.ndim != 2 or data.shape[1] < 2:
-            raise ValueError("profile CSV must have two columns (x, u)")
-        return DeflectionProfile(x_nodes=data[:, 0], u=data[:, 1], bc_mode=bc_mode, H=H)
-
 
 # ---------------------------------------------------------------- contact
 

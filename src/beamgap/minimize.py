@@ -296,10 +296,12 @@ def minimize(
     the energy reported once per trial point, so accepted iterates have
     non-increasing discrete energy. The field and report of an accepted point
     serve its force, its history row and, at the end, ``MinimizeResult``:
-    no profile is solved twice. The solves share one cache of SuperLU
-    factors (see ``solve_potential``), so most profiles are solved by a few
-    conjugate-gradient iterations preconditioned with the factor of an
-    earlier one; ``MinimizeResult.counts`` records that work, the rejected
+    no profile is solved twice. Every solve takes the one path of
+    ``solve_potential``, and the descent owns one cache of SuperLU factors
+    for all of them, where a plain call makes one per call: so most profiles
+    are solved by a few conjugate-gradient iterations preconditioned with
+    the factor of an earlier one, each stopping at its best iterate;
+    ``MinimizeResult.counts`` records that work, the rejected
     trial points and the clearings of the pair memory. The line
     search has one failure exit: when all _MAX_BACKTRACKS + 1 trial steps
     of an iteration are rejected, the descent stops and returns the last

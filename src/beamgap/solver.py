@@ -60,21 +60,23 @@ is written in that order, so SuperLU factors it with the NATURAL column
 order and no pivoting (the system is SPD); ``_factor`` is the one
 factorization call.
 
-A plain ``solve_potential`` call factors each component, solves once and
-drops the factor. A caller that solves a chain of nearby profiles (only
-``minimize`` does) passes a ``factors`` dict that it owns: a component with
-a held factor is then solved by conjugate gradients preconditioned with
-that lagged factor, started from the component's last solution, to a
-relative residual of _CG_RTOL = 1e-12 and one iteration past it, and is
-factored afresh only when CG needs more than _CG_MAX_ITERS = 8 iterations
-to meet _CG_RTOL or no factor is held (the lagged-Jacobian preconditioning
-of Knoll & Keyes, J. Comput. Phys. 193, 2004). A fresh factor serves its
-own first solve through the same CG loop. CG returns its best iterate: past
-the round-off floor of the system its residual grows again. Where that
-floor lies above _CG_RTOL (1-2e-12 for a direct solve at 512x256), the
-fresh solve stops above it too, and the factor is then held to
-_CG_FLOOR_FACTOR = 2 times the residual its own fresh solve reached instead
-of _CG_RTOL (the floor rule); elsewhere every cached solve meets _CG_RTOL.
+Every component solve takes one path, ``_cached_solve``, with a dict of
+factors keyed by component. A plain ``solve_potential`` call makes its own
+dict and drops it on return; a caller that solves a chain of nearby
+profiles (only ``minimize`` does) passes one that it owns for the whole
+chain. A component with a held factor is solved by conjugate gradients
+preconditioned with that lagged factor, started from the component's last
+solution, to a relative residual of _CG_RTOL = 1e-12 and one iteration past
+it, and is factored afresh only when CG does not meet _CG_RTOL within
+_CG_MAX_ITERS = 8 iterations or no factor is held (the lagged-Jacobian
+preconditioning of Knoll & Keyes, J. Comput. Phys. 193, 2004). A fresh
+factor serves its own first solve through the same CG loop. Past the
+round-off floor of the system the CG residual grows again, so CG stops at
+the first iterate whose residual exceeds the best so far and returns the
+best. Where that floor lies above _CG_RTOL (1-2e-12 for a direct solve at
+512x256), the fresh solve stops above it too, and the factor is then held
+to _CG_FLOOR_FACTOR = 2 times the residual its own fresh solve reached
+instead of _CG_RTOL (the floor rule); elsewhere every solve meets _CG_RTOL.
 Stale and failed factors are dropped before a new one is made, so the dict
 holds at most one factor (and solution, and tolerance) per component.
 """
@@ -192,7 +194,6 @@ class PotentialField:
     components: tuple[ComponentSolution, ...]
     top_dz: np.ndarray
     bot_val: np.ndarray
-    n_eta: int
 
     def psi_on(self, k: int) -> np.ndarray:
         """Nodal psi = chi + h(x, z, v) on component k, shape (n_x+1, n_eta+1)."""
@@ -462,8 +463,8 @@ def assemble(
 
 # lagged-factor solves: conjugate gradients preconditioned with a held factor
 # run to this relative residual (and one iteration past it), and a held
-# factor that needs more iterations than this to get there is dropped and
-# the matrix factored afresh
+# factor that does not get there within this many iterations, or whose
+# residual rises first, is dropped and the matrix factored afresh
 _CG_RTOL = 1e-12
 _CG_MAX_ITERS = 8
 # a factor whose own fresh solve stops above _CG_RTOL (the round-off floor of
@@ -482,20 +483,6 @@ def _factor(matrix: sp.csc_matrix):
     return splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-def _relative_residual(a: sp.csc_matrix, x: np.ndarray, b: np.ndarray) -> float:
-    b_norm = float(np.linalg.norm(b))
-    return float(np.linalg.norm(b - a @ x)) / b_norm if b_norm > 0.0 else 0.0
-
-
-def _solve_system(system: LinearSystem) -> tuple[np.ndarray, float]:
-    """SuperLU solve of the reduced system; returns (x, relative residual)."""
-    a, b = system.matrix, system.rhs
-    if a.shape[0] == 0:
-        return np.zeros(0), 0.0
-    x = _factor(a).solve(b)
-    return x, _relative_residual(a, x, b)
-
-
 def _lagged_solve(
     system: LinearSystem, lu, x0: np.ndarray, rtol: float = _CG_RTOL
 ) -> tuple[np.ndarray, float, int, bool]:
@@ -507,7 +494,8 @@ def _lagged_solve(
     residual met ``rtol`` within _CG_MAX_ITERS iterations). Once it does, one
     more iteration is taken: that step takes the residual to the round-off
     floor of the factor, so a lagged solve is no less accurate than a fresh
-    one. Past that floor the residual grows again, so the iterate with the
+    one. Past that floor the residual grows again, so CG stops at the first
+    iterate whose residual exceeds the best so far, and the iterate with the
     smallest residual is returned, whether ``rtol`` was met or not.
     """
     a, b = system.matrix, system.rhs
@@ -527,7 +515,7 @@ def _lagged_solve(
         res = float(np.linalg.norm(r)) / b_norm
         if res < best_res:
             best_res, best_x = res, x
-        if met or (res > rtol and iterations == _CG_MAX_ITERS):
+        if met or res > best_res or (res > rtol and iterations == _CG_MAX_ITERS):
             break
         met = res <= rtol
         z = lu.solve(r)
@@ -543,9 +531,9 @@ def _cached_solve(system: LinearSystem, factors: dict, key: tuple) -> tuple[np.n
     starts, and the tolerance the factor is held to. Returns (x, relative
     residual, CG iterations on a held factor, whether a factor was made). A
     held factor that fails is dropped before the new one is made; the new
-    one serves its own solve through the same CG loop (1-2 iterations, not
+    one serves its own solve through the same CG loop (2-3 iterations, not
     counted). That solve sets the tolerance: _CG_RTOL if it met it, else
-    _CG_FLOOR_FACTOR times the residual it reached, so every cached solve
+    _CG_FLOOR_FACTOR times the residual it reached, so every solve
     meets _CG_RTOL wherever the system's round-off floor allows it.
     """
     if system.rhs.size == 0:
@@ -586,24 +574,28 @@ def solve_potential(
     are 0, as on every lateral edge. The one-node component gets no entry in
     ``components``.
 
-    ``factors`` is an optional cache of SuperLU factors that the caller
-    owns and passes to a chain of nearby profiles, keyed by component
-    ``(i_lo, i_hi, n_eta)``; each entry is a factor and the component's last
-    solution. A component with a held factor is solved by conjugate
-    gradients preconditioned with it, from that solution, to a relative
-    residual of _CG_RTOL (or the floor rule's tolerance, see the module
-    docstring) and one iteration past it; if that takes more than
-    _CG_MAX_ITERS iterations, or no factor is held, the component is
+    ``factors`` is a cache of SuperLU factors keyed by component
+    ``(i_lo, i_hi, n_eta)``; each entry is a factor, the component's last
+    solution and the tolerance the factor is held to. A caller that solves
+    a chain of nearby profiles owns one and passes it to each solve; without
+    it the call makes its own, dropped on return. Every component goes
+    through the same solve: with a held factor, conjugate gradients
+    preconditioned with it, from that solution, to a relative residual of
+    _CG_RTOL (or the floor rule's tolerance, see the module docstring) and
+    one iteration past it, stopping early at the first iterate whose
+    residual exceeds the best so far; if CG does not meet that tolerance
+    within _CG_MAX_ITERS iterations, or no factor is held, the component is
     factored afresh, solved by the same CG loop with the new factor, and
-    both kept. Factors of components the profile no longer has are dropped
-    first, so the cache holds at most one factor per component. Without a
-    cache each component is factored, solved once, and its factor dropped.
+    both kept. Factors
+    of components the profile no longer has are dropped first, so the cache
+    holds at most one factor per component.
     """
     coincidence = detect_coincidence(profile, gap_threshold)
-    if factors is not None:
-        keys = {(i_lo, i_hi, n_eta) for i_lo, i_hi in coincidence.components}
-        for stale in factors.keys() - keys:
-            del factors[stale]
+    if factors is None:
+        factors = {}
+    keys = {(i_lo, i_hi, n_eta) for i_lo, i_hi in coincidence.components}
+    for stale in factors.keys() - keys:
+        del factors[stale]
     n = profile.x_nodes.size
     top_dz = np.full(n, np.nan)
     bot_val = np.full(n, np.nan)
@@ -616,11 +608,7 @@ def solve_potential(
             continue
         mesh = build_mapped_mesh(profile, comp, n_eta)
         system = assemble(mesh, model, profile, source=source)
-        if factors is None:
-            x, res = _solve_system(system)
-            iterations, factored = 0, x.size > 0
-        else:
-            x, res, iterations, factored = _cached_solve(system, factors, (i_lo, i_hi, n_eta))
+        x, res, iterations, factored = _cached_solve(system, factors, (i_lo, i_hi, n_eta))
         chi = np.zeros((mesh.n_x + 1, mesh.n_eta + 1))
         chi.reshape(-1)[system.free_nodes] = x
         field_term, bottom_term = _solved_parts(system, mesh, chi, x)
@@ -650,7 +638,6 @@ def solve_potential(
         components=tuple(solutions),
         top_dz=top_dz,
         bot_val=bot_val,
-        n_eta=n_eta,
     )
 
 

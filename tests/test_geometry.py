@@ -52,15 +52,6 @@ def test_profile_basic_accessors():
     assert z.L == 2.0 and z.H == 0.5 and np.all(z.u == 0.0)
 
 
-def test_profile_csv_round_trip(tmp_path):
-    p = bump_profile(32)
-    path = tmp_path / "profile.csv"
-    p.to_csv(path)
-    q = DeflectionProfile.from_csv(path, H=1.0)
-    assert np.allclose(q.x_nodes, p.x_nodes, rtol=0, atol=1e-15)
-    assert np.allclose(q.u, p.u, rtol=0, atol=1e-15)
-
-
 # ---------------------------------------------------------------- coincidence
 
 

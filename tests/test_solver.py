@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from beamgap.model import make_example_model, make_zero_data_model, sigma_polyno
 from beamgap.solver import (
     _csc_plan,
     _dissection_order,
-    _solve_system,
     assemble,
     functional_dual,
     functional_quadratic,
@@ -133,7 +133,8 @@ def test_dissection_order_fills_no_more_than_minimum_degree(unit_model, monkeypa
         return factors[-1]
 
     monkeypatch.setattr(solver, "splu", recording_splu)
-    x, res = _solve_system(system)
+    (comp,) = solve_potential(p, unit_model, n_eta=64).components
+    x, res = comp.chi.reshape(-1)[system.free_nodes], comp.residual
     (nd,) = factors
     by_node = np.argsort(system.free_nodes)
     mmd = splu(system.matrix[by_node][:, by_node].tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -320,15 +321,46 @@ def recording_factor(monkeypatch, factors: dict) -> list:
     return held
 
 
-def test_lagged_factor_solve_matches_fresh_solve(unit_model):
+class CountingFactor:
+    """A SuperLU factor that records each back-solve; unlike the factor
+    itself, it can be weakly referenced."""
+
+    def __init__(self, lu, backsolves: list):
+        self.lu, self.backsolves = lu, backsolves
+
+    def solve(self, rhs):
+        self.backsolves.append(rhs.size)
+        return self.lu.solve(rhs)
+
+
+def relative_residual(system, x: np.ndarray) -> float:
+    return float(np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs))
+
+
+def test_lagged_factor_solve_matches_fresh_solve(unit_model, monkeypatch):
     """Along a chain of deepening bumps that share one cache, every solve after
-    the first reuses the first factor, and matches a fresh solve."""
+    the first reuses the first factor, and matches a fresh solve. A solve
+    without a cache leaves no factor behind and is no less accurate than a
+    direct solve with its factor."""
+    made = []
+
+    def weak_splu(*args, **kwargs):
+        lu = CountingFactor(splu(*args, **kwargs), [])
+        made.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(solver, "splu", weak_splu)
     factors = {}
     iterations = []
     for amp in (-0.2, -0.203, -0.206, -0.209, -0.212):
         p = bump(128, amp)
         (lagged,) = solve_potential(p, unit_model, n_eta=64, factors=factors).components
+        n_made = len(made)
         (fresh,) = solve_potential(p, unit_model, n_eta=64).components
+        (own,) = made[n_made:]
+        assert own() is None  # the call's own factor is dropped on return
+        system = assemble(build_mapped_mesh(p, (0, 128), n_eta=64), unit_model, p)
+        assert fresh.residual <= relative_residual(system, solver._factor(system.matrix).solve(system.rhs))
         assert fresh.factored and fresh.iterations == 0
         assert np.max(np.abs(lagged.chi - fresh.chi)) <= 1e-12 * np.max(np.abs(fresh.chi))
         assert lagged.residual <= solver._CG_RTOL
@@ -391,14 +423,18 @@ def test_lagged_factor_is_held_to_the_round_off_floor_at_512x256(unit_model, mon
     iterate can meet it. A fresh cached solve still returns an iterate no
     worse than its factor's direct solve, and a chain of nearby profiles
     keeps that factor: it is held to _CG_FLOOR_FACTOR times the residual of
-    its own fresh solve."""
+    its own fresh solve. The fresh solve stops at the first CG iterate whose
+    residual exceeds the best so far."""
     factors = {}
     held = recording_factor(monkeypatch, factors)
+    recording_splu, backsolves = solver.splu, []
+    monkeypatch.setattr(solver, "splu", lambda *a, **k: CountingFactor(recording_splu(*a, **k), backsolves))
     p = bump(512, -0.2)
     (fresh,) = solve_potential(p, unit_model, n_eta=256, factors=factors).components
+    assert len(backsolves) <= 3  # CG stops once its residual rises past the floor, not at _CG_MAX_ITERS
     system = assemble(build_mapped_mesh(p, (0, 512), n_eta=256), unit_model, p)
     lu = factors[0, 512, 256][0]
-    direct = solver._relative_residual(system.matrix, lu.solve(system.rhs), system.rhs)
+    direct = relative_residual(system, lu.solve(system.rhs))
     assert direct > solver._CG_RTOL
     assert fresh.factored and fresh.residual <= direct
     for amp in (-0.202, -0.204):
