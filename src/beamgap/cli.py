@@ -38,8 +38,6 @@ from .model import (
     ModelConstants,
     compute_constants,
     make_example_model,
-    make_zero_data_model,
-    sigma_constant,
     sigma_polynomial,
     sigma_tabulated,
 )
@@ -82,15 +80,9 @@ _SIGMA_KEYS = {
     "tabulated": {"kind", "path", "x", "values"},
 }
 
-_SECTION_KEYS = {
-    "geometry": {"L", "H"},
-    "material": {"beta", "tau", "alpha"},
-    "dielectric": {"family", "V", "sigma", "K"},
-    "grid": {"nx", "neta", "gap_threshold"},
-    "minimize": {"k", "max_iters", "tol_stationarity", "tol_active"},
-    "outputs": {"csv", "json", "history"},
-    "sweep": {"parameter", "values"},
-}
+# the keys of each config section are those of its default; the sweep's default is null
+_SECTION_KEYS = {name: set(block) for name, block in DEFAULT_CONFIG.items() if isinstance(block, dict)}
+_SECTION_KEYS["sweep"] = {"parameter", "values"}
 
 
 class ConfigError(Exception):
@@ -142,7 +134,12 @@ def load_config(path: str | os.PathLike | None) -> dict:
 
 
 def _check_values(cfg: dict) -> None:
-    """Checks on a merged config: sigma spec, grid, a dry model build, descent settings."""
+    """Checks on a merged config: data family, sigma spec, grid, a dry model build, descent settings."""
+    family = cfg["dielectric"]["family"]
+    if family != "example":
+        raise ConfigError(
+            f"unknown dielectric family {family!r}: the only family is \"example\", and V = 0 gives the homogeneous data"
+        )
     sigma_spec = cfg["dielectric"]["sigma"]
     if not isinstance(sigma_spec, dict) or "kind" not in sigma_spec:
         raise ConfigError("'dielectric.sigma' must be an object with a 'kind'")
@@ -194,7 +191,7 @@ def _check_minimize(block: dict, H: float) -> None:
 def _build_sigma(spec: dict, L: float):
     kind = spec["kind"]
     if kind == "constant":
-        return sigma_constant(float(spec["value"]), domain=(-L, L))
+        return sigma_polynomial([float(spec["value"])], domain=(-L, L))
     if kind == "polynomial":
         return sigma_polynomial(spec["coeffs"], domain=(-L, L))
     if "path" in spec:
@@ -209,17 +206,7 @@ def build_model(cfg: dict) -> tuple[DielectricModel, ModelConstants]:
     mat = cfg["material"]
     die = cfg["dielectric"]
     L, H = float(geo["L"]), float(geo["H"])
-    sigma = _build_sigma(die["sigma"], L)
-    if die["family"] == "example":
-        V = float(die["V"])
-        if V == 0.0:
-            model = make_zero_data_model(sigma, H, K=die["K"] if die["K"] is not None else 1.0)
-        else:
-            model = make_example_model(V=V, sigma=sigma, H=H, K=die["K"])
-    elif die["family"] == "zero":
-        model = make_zero_data_model(sigma, H, K=die["K"] if die["K"] is not None else 1.0)
-    else:
-        raise ValueError(f"unknown dielectric family {die['family']!r}")
+    model = make_example_model(V=float(die["V"]), sigma=_build_sigma(die["sigma"], L), H=H, K=die["K"])
     constants = compute_constants(
         model,
         beta=float(mat["beta"]),
@@ -269,6 +256,12 @@ def _write_json(path: Path, payload: dict) -> None:
 def _metadata() -> dict:
     """The run-dependent block; everything outside it is reproducible byte for byte."""
     return {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "tool": "beamgap"}
+
+
+def _write_verification(out_dir: Path, verification: dict) -> Path:
+    path = out_dir / "verification.json"
+    _write_json(path, {**verification, "metadata": _metadata()})
+    return path
 
 
 def _write_profile_csv(path: Path, profile: DeflectionProfile, g: np.ndarray, contact: np.ndarray) -> None:
@@ -381,7 +374,7 @@ def run_single(cfg: dict, out_dir: Path, verify: bool = False) -> tuple[int, dic
 
     if verify:
         verification = run_verification(cfg)
-        _write_json(out_dir / "verification.json", verification)
+        _write_verification(out_dir, verification)
         if not verification["all_ok"]:
             return 1, summary
 
@@ -579,8 +572,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
     verification = run_verification(cfg)
-    out = Path(args.out) / "verification.json"
-    _write_json(out, {**verification, "metadata": _metadata()})
+    out = _write_verification(Path(args.out), verification)
     print(f"verification {'passed' if verification['all_ok'] else 'FAILED'}: {out}")
     return 0 if verification["all_ok"] else 1
 

@@ -155,7 +155,6 @@ class CoincidenceSet:
 
     contact_mask: np.ndarray
     components: tuple[tuple[int, int], ...]
-    gap_threshold: float
 
     @property
     def contact_fraction(self) -> float:
@@ -199,7 +198,7 @@ def detect_coincidence(profile: DeflectionProfile, gap_threshold: float | None =
             mask[i_lo : i_hi + 1] = True
 
     components = tuple(runs_of(~mask))
-    return CoincidenceSet(contact_mask=mask, components=components, gap_threshold=float(gap_threshold))
+    return CoincidenceSet(contact_mask=mask, components=components)
 
 
 # ---------------------------------------------------------------- mapped mesh
@@ -225,7 +224,6 @@ class MappedMesh:
     exactly the piecewise-linear-graph geometry.
     """
 
-    node_span: tuple[int, int]
     H: float
     x_nodes: np.ndarray
     eta_nodes: np.ndarray
@@ -312,7 +310,6 @@ def build_mapped_mesh(profile: DeflectionProfile, component: tuple[int, int], n_
         raise ValueError("quadrature gap nonpositive; the graph map is singular on this component")
 
     return MappedMesh(
-        node_span=(i_lo, i_hi),
         H=H,
         x_nodes=x.copy(),
         eta_nodes=eta_nodes,

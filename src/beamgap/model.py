@@ -6,6 +6,11 @@ h(x, z, w) and the auxiliary bottom datum frak_h(x, w) close the elliptic
 problem for the electrostatic potential. Everything downstream (solver,
 energy, force, minimizer) consumes the model through the callables stored
 here, so analytic derivatives are part of the contract.
+
+There is one data family, the closed form of ``make_example_model`` driven
+by the voltage V; V = 0 is its homogeneous member h = frak_h = 0. sigma is
+a polynomial (a constant is the degree-0 one) or a cubic spline through a
+table, stored with its two derivatives and checked positive on its domain.
 """
 
 from __future__ import annotations
@@ -23,11 +28,9 @@ __all__ = [
     "SampleBox",
     "ValidationReport",
     "KEstimate",
-    "sigma_constant",
     "sigma_polynomial",
     "sigma_tabulated",
     "make_example_model",
-    "make_zero_data_model",
     "default_sample_box",
     "validate_assumptions",
     "estimate_K",
@@ -45,19 +48,24 @@ class SigmaProfile:
     """Permittivity profile sigma(x) with two derivatives.
 
     All three callables are vectorized over numpy arrays. ``domain`` is the
-    x-interval on which the profile is meant to be evaluated; sigma_min and
-    the C2-norm bound sigma_bar are sampled over it.
+    x-interval on which the profile is meant to be evaluated; the minimum of
+    sigma and the C2-norm bound sigma_bar are sampled over it, and a profile
+    that is not positive there is rejected on construction.
     """
 
     value: ArrayFunc
     d1: ArrayFunc
     d2: ArrayFunc
-    kind: str
     domain: tuple[float, float] = (-1.0, 1.0)
 
-    def c2_scan(self, n: int = 2001) -> tuple[float, float]:
+    def __post_init__(self) -> None:
+        smin, _ = self.c2_scan()
+        if smin <= 0.0:
+            raise ValueError(f"sigma must stay positive on the domain, sampled min {smin}")
+
+    def c2_scan(self) -> tuple[float, float]:
         """Return (min sigma, max over derivatives of sup |sigma^(j)|) on the domain."""
-        x = np.linspace(self.domain[0], self.domain[1], n)
+        x = np.linspace(self.domain[0], self.domain[1], 2001)
         s = np.asarray(self.value(x), dtype=float)
         s1 = np.asarray(self.d1(x), dtype=float)
         s2 = np.asarray(self.d2(x), dtype=float)
@@ -66,36 +74,13 @@ class SigmaProfile:
         return smin, sbar
 
 
-def sigma_constant(value: float, domain: tuple[float, float] = (-1.0, 1.0)) -> SigmaProfile:
-    """Constant permittivity sigma(x) = value."""
-    if value <= 0.0:
-        raise ValueError(f"sigma must be positive, got {value}")
-    c = float(value)
-    return SigmaProfile(
-        value=lambda x: np.full_like(np.asarray(x, dtype=float), c),
-        d1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        kind="constant",
-        domain=domain,
-    )
-
-
 def sigma_polynomial(coeffs, domain: tuple[float, float] = (-1.0, 1.0)) -> SigmaProfile:
-    """Polynomial permittivity with given coefficients (low order first)."""
+    """Polynomial permittivity with given coefficients (low order first).
+
+    A constant sigma = c is the one-coefficient polynomial ``[c]``.
+    """
     p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    p1 = p.deriv(1)
-    p2 = p.deriv(2)
-    prof = SigmaProfile(
-        value=lambda x: p(np.asarray(x, dtype=float)),
-        d1=lambda x: p1(np.asarray(x, dtype=float)),
-        d2=lambda x: p2(np.asarray(x, dtype=float)),
-        kind="polynomial",
-        domain=domain,
-    )
-    smin, _ = prof.c2_scan()
-    if smin <= 0.0:
-        raise ValueError(f"polynomial sigma must stay positive on the domain, min {smin}")
-    return prof
+    return SigmaProfile(p, p.deriv(1), p.deriv(2), domain)
 
 
 def sigma_tabulated(x, s, domain: tuple[float, float] | None = None) -> SigmaProfile:
@@ -110,24 +95,12 @@ def sigma_tabulated(x, s, domain: tuple[float, float] | None = None) -> SigmaPro
     s = np.asarray(s, dtype=float)
     if x.ndim != 1 or x.shape != s.shape or x.size < 4:
         raise ValueError("tabulated sigma needs two equal-length 1-D arrays (>= 4 points)")
-    spline = CubicSpline(x, s)
     if domain is None:
         domain = (float(x[0]), float(x[-1]))
     elif not x[0] <= domain[0] <= domain[1] <= x[-1]:
         raise ValueError(f"tabulated sigma covers [{x[0]}, {x[-1]}], not the domain [{domain[0]}, {domain[1]}]")
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-    prof = SigmaProfile(
-        value=lambda q: spline(np.asarray(q, dtype=float)),
-        d1=lambda q: d1(np.asarray(q, dtype=float)),
-        d2=lambda q: d2(np.asarray(q, dtype=float)),
-        kind="tabulated",
-        domain=(float(domain[0]), float(domain[1])),
-    )
-    smin, _ = prof.c2_scan()
-    if smin <= 0.0:
-        raise ValueError(f"tabulated sigma must stay positive, interpolated min {smin}")
-    return prof
+    spline = CubicSpline(x, s)
+    return SigmaProfile(spline, spline.derivative(1), spline.derivative(2), (float(domain[0]), float(domain[1])))
 
 
 # ---------------------------------------------------------------- model
@@ -139,8 +112,8 @@ class DielectricModel:
 
     The callables h, h_x, h_z, h_w take (x, z, w) and broadcast; frak_h and
     frak_h_w take (x, w). K is the working bound on the data, either supplied
-    by the caller or produced by estimate_K over a sample box; sigma_min and
-    sigma_bar are the sampled minimum and C2-norm bound of sigma.
+    by the caller or produced by estimate_K over a sample box; sigma_bar is
+    the sampled C2-norm bound of sigma.
     """
 
     sigma: SigmaProfile
@@ -152,10 +125,8 @@ class DielectricModel:
     frak_h_w: Callable
     V: float
     K: float
-    sigma_min: float
     sigma_bar: float
     H: float
-    family: str = "example"
 
 
 @dataclass(frozen=True)
@@ -210,11 +181,9 @@ class KEstimate:
     contributions: dict[str, float] = field(default_factory=dict)
 
 
-def default_sample_box(L: float, H: float, z_max: float | None = None, n: int = 33) -> SampleBox:
-    """Default box x in [-L, L], z and w in [-H, z_max], z_max = 4H unless given."""
-    if z_max is None:
-        z_max = 4.0 * H
-    return SampleBox(x=(-L, L), z=(-H, z_max), w=(-H, z_max), n=n)
+def default_sample_box(L: float, H: float) -> SampleBox:
+    """Default box x in [-L, L], z and w in [-H, 4H]."""
+    return SampleBox(x=(-L, L), z=(-H, 4.0 * H), w=(-H, 4.0 * H))
 
 
 def make_example_model(
@@ -222,9 +191,8 @@ def make_example_model(
     sigma: SigmaProfile | float,
     H: float,
     K: float | None = None,
-    box: SampleBox | None = None,
 ) -> DielectricModel:
-    """Build the reference dielectric family.
+    """Build the closed-form dielectric data family.
 
     The boundary potential is
 
@@ -233,26 +201,27 @@ def make_example_model(
     with frak_h = 0. It satisfies the Robin compatibility
     d_z h(x, -H, w) = sigma(x) (h(x, -H, w) - frak_h(x, w)) identically, so
     the potential problem's mixed boundary data are consistent for every
-    admissible deflection.
+    admissible deflection. V = 0 gives the homogeneous data h = frak_h = 0,
+    whose potential problem has the trivial solution; it backs the
+    zero-voltage paths and the manufactured-solution runs, where the only
+    load is an injected source.
 
     Parameters
     ----------
-    V : applied voltage, must be positive.
+    V : applied voltage, must be nonnegative.
     sigma : permittivity profile, or a positive number for a constant one.
     H : gap height at rest, must be positive.
-    K : working data bound; estimated over ``box`` when omitted.
-    box : sample box for the K estimate (default: x over sigma's domain,
-        z and w in [-H, 4H]).
+    K : working data bound. When omitted it is estimated over the default
+        sample box (x over sigma's domain, z and w in [-H, 4H]), except at
+        V = 0, where every sampled bound vanishes and K defaults to 1.
     """
-    if V <= 0.0:
-        raise ValueError(f"V must be positive, got {V}")
+    if V < 0.0:
+        raise ValueError(f"V must be nonnegative, got {V}")
     if H <= 0.0:
         raise ValueError(f"H must be positive, got {H}")
     if isinstance(sigma, (int, float)):
-        sigma = sigma_constant(float(sigma))
-    smin, sbar = sigma.c2_scan()
-    if smin <= 0.0:
-        raise ValueError(f"sigma must be positive on its domain, sampled min {smin}")
+        sigma = sigma_polynomial([float(sigma)])
+    _, sbar = sigma.c2_scan()
 
     sig, dsig = sigma.value, sigma.d1
     Vf, Hf = float(V), float(H)
@@ -289,56 +258,14 @@ def make_example_model(
         frak_h_w=frak_h,
         V=Vf,
         K=1.0,
-        sigma_min=smin,
         sigma_bar=sbar,
         H=Hf,
-        family="example",
     )
     if K is None:
-        if box is None:
-            box = default_sample_box(L=max(abs(d) for d in sigma.domain), H=Hf)
-        K = estimate_K(model, box).K
+        K = estimate_K(model, default_sample_box(L=max(abs(d) for d in sigma.domain), H=Hf)).K if Vf > 0.0 else 1.0
     if K <= 0.0:
         raise ValueError(f"K must be positive, got {K}")
     return replace(model, K=float(K))
-
-
-def make_zero_data_model(sigma: SigmaProfile | float, H: float, K: float = 1.0) -> DielectricModel:
-    """Degenerate model with h = 0 and frak_h = 0 (the V = 0 configuration).
-
-    Compatibility holds exactly (0 = sigma * 0) and the potential problem has
-    the trivial solution, so this model backs the zero-voltage paths and the
-    manufactured-solution runs where the only load is an injected source.
-    """
-    if H <= 0.0:
-        raise ValueError(f"H must be positive, got {H}")
-    if isinstance(sigma, (int, float)):
-        sigma = sigma_constant(float(sigma))
-    smin, sbar = sigma.c2_scan()
-    if smin <= 0.0:
-        raise ValueError(f"sigma must be positive on its domain, sampled min {smin}")
-
-    def zero3(x, z, w):
-        return np.zeros(np.broadcast(np.asarray(x), np.asarray(z), np.asarray(w)).shape)
-
-    def zero2(x, w):
-        return np.zeros(np.broadcast(np.asarray(x), np.asarray(w)).shape)
-
-    return DielectricModel(
-        sigma=sigma,
-        h=zero3,
-        h_x=zero3,
-        h_z=zero3,
-        h_w=zero3,
-        frak_h=zero2,
-        frak_h_w=zero2,
-        V=0.0,
-        K=float(K),
-        sigma_min=smin,
-        sigma_bar=sbar,
-        H=float(H),
-        family="zero",
-    )
 
 
 # ---------------------------------------------------------------- checks

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from beamgap.geometry import DeflectionProfile
-from beamgap.model import compute_constants, make_example_model, make_zero_data_model
+from beamgap.model import compute_constants, make_example_model
 from beamgap.oracles import simpson_weights
 from beamgap.solver import solve_potential
 
@@ -54,7 +54,7 @@ def mms_setup(L: float = 1.0):
 def mms_l2_error(n_cells: int) -> float:
     """Nodal L2 error of the injected-load solve on an n x n cell grid."""
     chi_exact, source = mms_setup()
-    model = make_zero_data_model(sigma=1.0, H=1.0)
+    model = make_example_model(V=0.0, sigma=1.0, H=1.0, K=1.0)
     p = DeflectionProfile.zero(1.0, 1.0, n_cells)
     field = solve_potential(p, model, n_eta=n_cells, source=source)
     comp = field.components[0]

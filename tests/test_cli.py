@@ -93,6 +93,22 @@ def test_invalid_grid_rejected_before_any_solve(tmp_path, monkeypatch, payload):
     assert not out.exists()
 
 
+def test_zero_family_rejected_before_any_solve(tmp_path, monkeypatch, capsys):
+    """The homogeneous data are the example family at V = 0; a "zero" family exits 2 and says so."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an invalid config must be rejected before any solve")
+
+    monkeypatch.setattr(cli, "minimize", no_solve)
+    path = write_config(tmp_path, {"dielectric": {"family": "zero"}, "grid": {"nx": 16, "neta": 8}})
+    with pytest.raises(cli.ConfigError, match="V = 0"):
+        cli.load_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    assert "V = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_bc_mode_rejected_before_any_solve(tmp_path, monkeypatch):
     calls = count_solves(monkeypatch, ("cli", "minimize", "energy", "force"))
     path = write_config(tmp_path, {"bc_mode": "free", "grid": {"nx": 16, "neta": 8}})
@@ -341,6 +357,7 @@ def test_run_with_verify_writes_verification(tmp_path):
     verification = json.loads((out / "verification.json").read_text(encoding="utf-8"))
     assert verification["all_ok"] is True
     assert all(verification["checks"].values())
+    assert verification["metadata"]["tool"] == "beamgap"
 
 
 # ---------------------------------------------------------------- verify verb

@@ -14,7 +14,7 @@ from beamgap.energy import (
     total_energy,
 )
 from beamgap.geometry import DeflectionProfile
-from beamgap.model import compute_constants, make_example_model, make_zero_data_model, sigma_polynomial
+from beamgap.model import compute_constants, make_example_model, sigma_polynomial
 from beamgap.solver import functional_quadratic_parts, solve_potential
 
 
@@ -78,7 +78,7 @@ def test_flat_energy_closed_form():
 
 def test_zero_data_energy_is_zero():
     p = bump(32, amp=-0.3)
-    model = make_zero_data_model(sigma=1.0, H=1.0)
+    model = make_example_model(V=0.0, sigma=1.0, H=1.0, K=1.0)
     e = electrostatic_energy(p, model, n_eta=16)
     assert e.total == pytest.approx(0.0, abs=1e-20)
 
@@ -163,7 +163,7 @@ def test_sourced_field_energy_leaves_the_source_out():
     the energy read off a sourced solve leaves the source's load out and still
     equals the quadrature of the functional at the solved chi."""
     _, source = mms_setup()
-    model = make_zero_data_model(sigma=1.0, H=1.0)
+    model = make_example_model(V=0.0, sigma=1.0, H=1.0, K=1.0)
     p = bump(32, amp=-0.4)
     (comp,) = solve_potential(p, model, n_eta=16, source=source).components
     field, bottom = functional_quadratic_parts(comp.mesh, comp.datum, comp.chi)

@@ -7,7 +7,7 @@ from conftest import random_admissible_profile
 
 from beamgap.force import compute_force, directional_derivative_check
 from beamgap.geometry import DeflectionProfile
-from beamgap.model import make_example_model, make_zero_data_model, sigma_polynomial
+from beamgap.model import make_example_model, sigma_polynomial
 from beamgap.solver import solve_potential
 
 
@@ -58,7 +58,7 @@ def test_end_force_follows_the_boundary_rule(bc_mode, V, sigma, n_cells):
 
 def test_zero_data_force_vanishes():
     p = DeflectionProfile.zero(1.0, 1.0, 32)
-    model = make_zero_data_model(sigma=1.0, H=1.0)
+    model = make_example_model(V=0.0, sigma=1.0, H=1.0, K=1.0)
     fp = force_on(p, model, n_eta=16)
     assert np.max(np.abs(fp.g)) <= 1e-14
 

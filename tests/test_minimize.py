@@ -20,12 +20,12 @@ from beamgap.minimize import (
     sup_bound_check,
     vi_residual,
 )
-from beamgap.model import compute_constants, make_example_model, make_zero_data_model
+from beamgap.model import compute_constants, make_example_model
 
 
 def small_setup(V: float, n_cells: int = 64):
     if V == 0.0:
-        model = make_zero_data_model(sigma=1.0, H=1.0)
+        model = make_example_model(V=0.0, sigma=1.0, H=1.0, K=1.0)
     else:
         model = make_example_model(V=V, sigma=1.0, H=1.0, K=1.0)
     constants = compute_constants(model, beta=1.0, tau=0.0, alpha=0.0, L=1.0, H=1.0)
@@ -194,7 +194,7 @@ def test_energy_gradient_is_h_times_residual(bc_mode, n_cells):
 
     Zero data makes E_e = 0 and g = 0; tau, alpha and an active penalty are all on.
     """
-    model = make_zero_data_model(sigma=1.0, H=1.0)
+    model = make_example_model(V=0.0, sigma=1.0, H=1.0, K=1.0)
     constants = compute_constants(model, beta=1.0, tau=0.7, alpha=0.3, L=1.0, H=1.0, bc_mode=bc_mode)
     k = 1.0
     p = DeflectionProfile.from_callable(

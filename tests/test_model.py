@@ -8,8 +8,6 @@ from beamgap.model import (
     default_sample_box,
     estimate_K,
     make_example_model,
-    make_zero_data_model,
-    sigma_constant,
     sigma_polynomial,
     sigma_tabulated,
     validate_assumptions,
@@ -20,7 +18,7 @@ from beamgap.model import (
 
 
 def test_sigma_constant_evaluates_flat():
-    prof = sigma_constant(2.5)
+    prof = sigma_polynomial([2.5])
     x = np.linspace(-1.0, 1.0, 11)
     assert np.all(prof.value(x) == 2.5)
     assert np.all(prof.d1(x) == 0.0)
@@ -47,9 +45,11 @@ def test_sigma_tabulated_interpolates_and_guards():
 
 def test_sigma_constant_rejects_nonpositive():
     with pytest.raises(ValueError):
-        sigma_constant(0.0)
+        sigma_polynomial([0.0])
     with pytest.raises(ValueError):
-        sigma_constant(-1.0)
+        sigma_polynomial([-1.0])
+    with pytest.raises(ValueError):
+        make_example_model(V=1.0, sigma=0.0, H=1.0)
 
 
 # ---------------------------------------------------------------- example family
@@ -57,7 +57,7 @@ def test_sigma_constant_rejects_nonpositive():
 
 def test_example_model_input_guards():
     with pytest.raises(ValueError):
-        make_example_model(V=0.0, sigma=1.0, H=1.0)
+        make_example_model(V=-1.0, sigma=1.0, H=1.0)
     with pytest.raises(ValueError):
         make_example_model(V=1.0, sigma=1.0, H=-1.0)
 
@@ -81,12 +81,17 @@ def test_example_model_closed_form_values():
 
 
 def test_zero_data_model_is_identically_zero():
-    model = make_zero_data_model(sigma=1.0, H=1.0)
-    x = np.linspace(-1.0, 1.0, 7)
-    assert np.all(model.h(x, -0.5, 0.1) == 0.0)
-    assert np.all(model.frak_h(x, 0.2) == 0.0)
+    """V = 0 is the homogeneous member of the family: all six data callables vanish, K defaults to 1."""
+    model = make_example_model(V=0.0, sigma=sigma_polynomial([1.0, 0.2, 0.1]), H=1.0)
+    x = np.linspace(-1.0, 1.0, 7)[:, None]
+    z = np.linspace(-1.0, 2.0, 5)[None, :]
+    for name in ("h", "h_x", "h_z", "h_w"):
+        assert np.all(getattr(model, name)(x, z, 0.1) == 0.0), name
+    for name in ("frak_h", "frak_h_w"):
+        assert np.all(getattr(model, name)(x, z) == 0.0), name
     assert model.V == 0.0
     assert model.K == 1.0
+    assert make_example_model(V=0.0, sigma=1.0, H=1.0, K=0.5).K == 0.5
 
 
 def test_auto_K_matches_standalone_estimate():

@@ -14,7 +14,7 @@ from beamgap import solver
 from beamgap.energy import electrostatic_energy
 from beamgap.force import compute_force
 from beamgap.geometry import DeflectionProfile, build_mapped_mesh, detect_coincidence
-from beamgap.model import make_example_model, make_zero_data_model, sigma_polynomial
+from beamgap.model import make_example_model, sigma_polynomial
 from beamgap.solver import (
     _csc_plan,
     _dissection_order,
@@ -72,7 +72,7 @@ def _oracle_case(name: str):
         p = two_component_contact(64)
         return p, detect_coincidence(p).components[int(name[-1])], 8, unit, None
     _, source = mms_setup()
-    return bump(32, amp=-0.4), (0, 32), 16, make_zero_data_model(sigma=1.0, H=1.0), source
+    return bump(32, amp=-0.4), (0, 32), 16, make_example_model(V=0.0, sigma=1.0, H=1.0, K=1.0), source
 
 
 @pytest.mark.parametrize("case", ["clamped", "pinned", "odd_nx", "poly_sigma", "contact0", "contact1", "mms_source"])
