@@ -74,10 +74,11 @@ DEFAULT_CONFIG: dict = {
     "sweep": None,
 }
 
-_SIGMA_KEYS = {
-    "constant": {"kind", "value"},
-    "polynomial": {"kind", "coeffs"},
-    "tabulated": {"kind", "path", "x", "values"},
+# the keys besides "kind" that each sigma kind takes, as its alternative forms
+_SIGMA_FORMS = {
+    "constant": [{"value"}],
+    "polynomial": [{"coeffs"}],
+    "tabulated": [{"path"}, {"x", "values"}],
 }
 
 # the keys of each config section are those of its default; the sweep's default is null
@@ -134,19 +135,21 @@ def load_config(path: str | os.PathLike | None) -> dict:
 
 
 def _check_values(cfg: dict) -> None:
-    """Checks on a merged config: data family, sigma spec, grid, a dry model build, descent settings."""
+    """Checks on a merged config: data family, numbers, sigma spec, grid, a dry model build, descent settings."""
     family = cfg["dielectric"]["family"]
     if family != "example":
         raise ConfigError(
             f"unknown dielectric family {family!r}: the only family is \"example\", and V = 0 gives the homogeneous data"
         )
-    sigma_spec = cfg["dielectric"]["sigma"]
-    if not isinstance(sigma_spec, dict) or "kind" not in sigma_spec:
-        raise ConfigError("'dielectric.sigma' must be an object with a 'kind'")
-    kind = sigma_spec["kind"]
-    if kind not in _SIGMA_KEYS:
-        raise ConfigError(f"unknown sigma kind {kind!r}; expected one of {sorted(_SIGMA_KEYS)}")
-    _check_keys("dielectric.sigma", sigma_spec, _SIGMA_KEYS[kind])
+    die = cfg["dielectric"]
+    numbers = {f"{section}.{key}": value for section in ("geometry", "material") for key, value in cfg[section].items()}
+    numbers["dielectric.V"] = die["V"]
+    if die["K"] is not None:
+        numbers["dielectric.K"] = die["K"]
+    for name, value in numbers.items():
+        if not _is_finite(value):
+            raise ConfigError(f"'{name}' must be a finite number, got {value!r}")
+    _check_sigma(die["sigma"])
     _check_grid(cfg["grid"])
 
     try:
@@ -162,6 +165,29 @@ def _is_int(value) -> bool:
 
 def _is_finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_sigma(spec) -> None:
+    """A known kind with exactly the keys of one of its forms, and finite numbers."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError("'dielectric.sigma' must be an object with a 'kind'")
+    kind = spec["kind"]
+    if kind not in _SIGMA_FORMS:
+        raise ConfigError(f"unknown sigma kind {kind!r}; expected one of {sorted(_SIGMA_FORMS)}")
+    forms = _SIGMA_FORMS[kind]
+    _check_keys("dielectric.sigma", spec, {"kind"}.union(*forms))
+    given = set(spec) - {"kind"}
+    if given not in forms:
+        expected = " or ".join(str(sorted(form)) for form in forms)
+        raise ConfigError(f"a {kind} sigma takes the keys {expected}, got {sorted(given)}")
+    if "path" in given and not isinstance(spec["path"], str):
+        raise ConfigError(f"'dielectric.sigma.path' must be a string, got {spec['path']!r}")
+    if "value" in given and not _is_finite(spec["value"]):
+        raise ConfigError(f"'dielectric.sigma.value' must be a finite number, got {spec['value']!r}")
+    for key in sorted(given & {"coeffs", "x", "values"}):
+        value = spec[key]
+        if not (isinstance(value, list) and value and all(_is_finite(v) for v in value)):
+            raise ConfigError(f"'dielectric.sigma.{key}' must be a non-empty list of finite numbers, got {value!r}")
 
 
 def _check_grid(grid: dict) -> None:
@@ -195,7 +221,12 @@ def _build_sigma(spec: dict, L: float):
     if kind == "polynomial":
         return sigma_polynomial(spec["coeffs"], domain=(-L, L))
     if "path" in spec:
-        data = np.loadtxt(spec["path"], delimiter=",", dtype=float)
+        try:
+            data = np.loadtxt(spec["path"], delimiter=",", dtype=float, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read the sigma table {spec['path']!r}: {exc}") from exc
+        if data.shape[1] < 2:
+            raise ConfigError(f"the sigma table {spec['path']!r} needs two columns, x and sigma")
         return sigma_tabulated(data[:, 0], data[:, 1], domain=(-L, L))
     return sigma_tabulated(spec["x"], spec["values"], domain=(-L, L))
 

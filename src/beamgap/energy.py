@@ -13,7 +13,8 @@ b'x + J(0) (the solver docstring), which equal the solver's mapped Gauss
 quadrature of the reconstructed potential and the lumped trapezoid bottom
 term (``solver.functional_quadratic_parts``, the reference) to round-off, so
 the electrostatic energy is the negative of the discrete functional the
-solver minimizes.
+solver minimizes. The bounds the paper proves of these energies, such as the
+coercivity of the penalized energy, are stated in the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DeflectionProfile, detect_coincidence
+from .geometry import DeflectionProfile
 from .model import DielectricModel, ModelConstants
 from .solver import PotentialField, _trapezoid_weights, solve_potential
 
@@ -34,7 +35,6 @@ __all__ = [
     "electrostatic_energy",
     "total_energy",
     "second_differences",
-    "coercivity_offset",
 ]
 
 
@@ -83,7 +83,6 @@ class EnergyReport:
     mechanical: MechanicalEnergy
     electrostatic: ElectrostaticEnergy
     penalty: float
-    k: float | None
 
     @property
     def e_mechanical(self) -> float:
@@ -188,14 +187,5 @@ def total_energy(
         w = _trapezoid_weights(profile.u.size)
         excess = np.maximum(profile.u - k, 0.0)
         penalty = 0.5 * constants.A * profile.spacing * float(np.sum(w * excess * excess))
-    return EnergyReport(mechanical=mech, electrostatic=elec, penalty=penalty, k=k)
+    return EnergyReport(mechanical=mech, electrostatic=elec, penalty=penalty)
 
-
-def coercivity_offset(model: DielectricModel, constants: ModelConstants, k: float) -> float:
-    """Additive constant c(k) in the penalized-energy lower bound.
-
-    E_k(u) >= (beta/4)||u''||^2 + (A/4)||(u-k)+||^2 - c(k) with
-    c(k) = 2 |D| [(1 + sigma_bar) K^2 + k^2 (K^4/beta + 2 K^2)].
-    """
-    two_l = 2.0 * constants.L
-    return 2.0 * two_l * ((1.0 + model.sigma_bar) * model.K**2 + k**2 * constants.A / 8.0)

@@ -11,11 +11,14 @@ There is one data family, the closed form of ``make_example_model`` driven
 by the voltage V; V = 0 is its homogeneous member h = frak_h = 0. sigma is
 a polynomial (a constant is the degree-0 one) or a cubic spline through a
 table, stored with its two derivatives and checked positive on its domain.
+The family meets the Robin compatibility d_z h = sigma (h - frak_h) at
+z = -H by construction, for every w; the tests state that check. The one
+sampled quantity is the data bound K (``estimate_K``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,13 +29,10 @@ __all__ = [
     "DielectricModel",
     "ModelConstants",
     "SampleBox",
-    "ValidationReport",
-    "KEstimate",
     "sigma_polynomial",
     "sigma_tabulated",
     "make_example_model",
     "default_sample_box",
-    "validate_assumptions",
     "estimate_K",
     "compute_constants",
 ]
@@ -145,7 +145,7 @@ class ModelConstants:
 
 @dataclass(frozen=True)
 class SampleBox:
-    """Tensor sampling box for validate_assumptions and estimate_K."""
+    """Tensor sampling box for estimate_K."""
 
     x: tuple[float, float]
     z: tuple[float, float]
@@ -158,27 +158,6 @@ class SampleBox:
             np.linspace(self.z[0], self.z[1], self.n),
             np.linspace(self.w[0], self.w[1], self.n),
         )
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Result of the compatibility scan: worst Robin mismatch of the data."""
-
-    ok: bool
-    max_residual: float
-    worst_x: float
-    worst_w: float
-    sigma_min: float
-    tol: float
-
-
-@dataclass(frozen=True)
-class KEstimate:
-    """Smallest sampled K with the inequality that forced it."""
-
-    K: float
-    binding: str
-    contributions: dict[str, float] = field(default_factory=dict)
 
 
 def default_sample_box(L: float, H: float) -> SampleBox:
@@ -262,41 +241,16 @@ def make_example_model(
         H=Hf,
     )
     if K is None:
-        K = estimate_K(model, default_sample_box(L=max(abs(d) for d in sigma.domain), H=Hf)).K if Vf > 0.0 else 1.0
+        K = estimate_K(model, default_sample_box(L=max(abs(d) for d in sigma.domain), H=Hf)) if Vf > 0.0 else 1.0
     if K <= 0.0:
         raise ValueError(f"K must be positive, got {K}")
     return replace(model, K=float(K))
 
 
-# ---------------------------------------------------------------- checks
+# ---------------------------------------------------------------- data bound
 
 
-def validate_assumptions(model: DielectricModel, box: SampleBox, tol: float = 1e-10) -> ValidationReport:
-    """Scan the Robin compatibility of (h, frak_h, sigma) on a tensor grid.
-
-    Evaluates R(x, w) = d_z h(x, -H, w) - sigma(x)(h(x, -H, w) - frak_h(x, w))
-    over box.x times box.w and reports its worst magnitude and location,
-    together with the sampled minimum of sigma.
-    """
-    xs, _, ws = box.axes()
-    X, W = np.meshgrid(xs, ws, indexing="ij")
-    H = model.H
-    res = model.h_z(X, -H, W) - model.sigma.value(X) * (model.h(X, -H, W) - model.frak_h(X, W))
-    res = np.asarray(res, dtype=float)
-    idx = np.unravel_index(np.argmax(np.abs(res)), res.shape)
-    smin = float(np.min(model.sigma.value(xs)))
-    max_res = float(np.abs(res[idx]))
-    return ValidationReport(
-        ok=bool(max_res <= tol and smin > 0.0),
-        max_residual=max_res,
-        worst_x=float(X[idx]),
-        worst_w=float(W[idx]),
-        sigma_min=smin,
-        tol=float(tol),
-    )
-
-
-def estimate_K(model: DielectricModel, box: SampleBox) -> KEstimate:
+def estimate_K(model: DielectricModel, box: SampleBox) -> float:
     """Smallest K satisfying the sampled growth bounds on (h, frak_h).
 
     Four families of bounds are sampled over the box and the largest required
@@ -340,9 +294,7 @@ def estimate_K(model: DielectricModel, box: SampleBox) -> KEstimate:
         )
     )
 
-    contributions = {"bb6": k_bb6, "bb7": k_bb7, "hbound1": k_h1, "hbound2": k_h2}
-    binding = max(contributions, key=contributions.get)
-    return KEstimate(K=contributions[binding], binding=binding, contributions=contributions)
+    return max(k_bb6, k_bb7, k_h1, k_h2)
 
 
 # ---------------------------------------------------------------- constants

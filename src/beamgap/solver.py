@@ -17,7 +17,9 @@ first derivatives of h only:
 Discretization: bilinear elements, 2x2 Gauss per cell, lumped trapezoid Robin
 mass on the bottom edge. The discrete electrostatic energy is the negative
 of the minimized discrete functional in these quadratures (see Energy
-below).
+below). The checks of the solution the paper proves, such as the maximum
+principle bound 0 <= psi <= V of the data family, are stated in the tests on
+``PotentialField.psi_on``.
 
 The map is stored per axis (geometry.MappedMesh), so the stiffness is a sum
 of five Kronecker products of 1-D tridiagonal cell factors,
@@ -104,10 +106,8 @@ __all__ = [
     "LinearSystem",
     "ComponentSolution",
     "PotentialField",
-    "MaxPrincipleReport",
     "assemble",
     "solve_potential",
-    "max_principle_check",
 ]
 
 # 1-D linear basis of a cell at its two Gauss points: _N[g, a] is the value of
@@ -147,14 +147,8 @@ class LinearSystem:
     matrix: sp.csc_matrix
     rhs: np.ndarray
     free_nodes: np.ndarray
-    n_x: int
-    n_eta: int
     datum: Datum
     source_rhs: np.ndarray | None = None
-
-    def symmetry_error(self) -> float:
-        d = self.matrix - self.matrix.T
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
 
 
 @dataclass(frozen=True)
@@ -202,27 +196,6 @@ class PotentialField:
         v = mesh.gap_nodes - mesh.H
         z = -mesh.H + mesh.eta_nodes[None, :] * mesh.gap_nodes[:, None]
         return comp.chi + self.model.h(mesh.x_nodes[:, None], z, v[:, None])
-
-    def robin_residual(self, k: int) -> np.ndarray:
-        """Residual d_z chi - sigma chi at the bottom of component k (one-sided)."""
-        comp = self.components[k]
-        mesh = comp.mesh
-        de = mesh.deta
-        dchi = (-3.0 * comp.chi[:, 0] + 4.0 * comp.chi[:, 1] - comp.chi[:, 2]) / (2.0 * de)
-        return dchi / mesh.gap_nodes - comp.datum.sigma * comp.chi[:, 0]
-
-
-@dataclass(frozen=True)
-class MaxPrincipleReport:
-    """Extremes of the reconstructed psi against the boundary-data bounds."""
-
-    min_psi: float
-    max_psi: float
-    lower_bound: float
-    upper_bound: float
-    ok: bool
-    tol: float
-    worst: str
 
 
 # ---------------------------------------------------------------- assembly
@@ -454,8 +427,6 @@ def assemble(
         matrix=mat,
         rhs=rhs,
         free_nodes=plan.free_nodes,
-        n_x=n_x,
-        n_eta=n_eta,
         datum=datum,
         source_rhs=source_rhs,
     )
@@ -641,24 +612,18 @@ def solve_potential(
     )
 
 
-# ---------------------------------------------------------------- diagnostics
-
-
-def functional_quadratic(mesh: MappedMesh, datum: Datum, theta: np.ndarray) -> float:
-    """Full quadratic functional of the data problem at a nodal field theta.
-
-    Evaluates 1/2 int A_v grad(theta + h_v) . grad(theta + h_v) plus
-    1/2 int sigma (theta + h_v(., -H) - frak_h)^2 on the bottom edge, with the
-    assembly quadratures (Gauss field term, lumped trapezoid bottom term).
-    The solved chi minimizes this over fields vanishing on the Dirichlet
-    edges, and the electrostatic energy of the component is its negative.
-    """
-    field, bottom = functional_quadratic_parts(mesh, datum, theta)
-    return field + bottom
+# ---------------------------------------------------------------- energy read-off
 
 
 def functional_quadratic_parts(mesh: MappedMesh, datum: Datum, theta: np.ndarray) -> tuple[float, float]:
-    """(field term, bottom term) of the quadratic functional, both >= 0."""
+    """(field term, bottom term) of the quadratic functional of the data problem at a nodal field theta, both >= 0.
+
+    The field term is 1/2 int A_v grad(theta + h_v) . grad(theta + h_v) and
+    the bottom term 1/2 int sigma (theta + h_v(., -H) - frak_h)^2, in the
+    assembly quadratures (Gauss field term, lumped trapezoid bottom term).
+    The solved chi minimizes their sum over fields vanishing on the Dirichlet
+    edges, and the electrostatic energy of the component is its negative.
+    """
     theta = np.asarray(theta, dtype=float)
     n_x, n_eta = mesh.n_x, mesh.n_eta
     if theta.shape != (n_x + 1, n_eta + 1):
@@ -698,74 +663,3 @@ def _solved_parts(system: LinearSystem, mesh: MappedMesh, chi: np.ndarray, x: np
     j_chi = 0.5 * float(x @ (system.matrix @ x)) - float(b @ x) + j_zero
     bottom = _bottom_term(mesh, datum, chi[:, 0])
     return j_chi - bottom, bottom
-
-
-def functional_dual(
-    system: LinearSystem, mesh: MappedMesh, theta: np.ndarray
-) -> float:
-    """Discrete data-free functional 1/2 theta' S theta - theta' b.
-
-    ``theta`` is a full nodal field; only its free-node part enters (the
-    Dirichlet rows are fixed at zero in the reduced system).
-    """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    t = theta[system.free_nodes]
-    return float(0.5 * t @ (system.matrix @ t) - system.rhs @ t)
-
-
-def max_principle_check(
-    field: PotentialField, model: DielectricModel, profile: DeflectionProfile
-) -> MaxPrincipleReport:
-    """Compare the reconstructed psi against the weak maximum principle bounds.
-
-    The analytic bounds are min/max over the Dirichlet data h_v on the
-    component boundaries (graph, laterals, contact bottom) and the Robin
-    datum frak_h(., v) along the bottom. Tolerance 1e-6 V.
-    """
-    lows, highs = [], []
-    min_psi, max_psi = np.inf, -np.inf
-    worst = ""
-
-    for k, comp in enumerate(field.components):
-        mesh = comp.mesh
-        psi = field.psi_on(k)
-        j = np.unravel_index(np.argmax(psi), psi.shape)
-        if psi[j] > max_psi:
-            max_psi = float(psi[j])
-            worst = f"component {k} node {j}"
-        jmin = np.unravel_index(np.argmin(psi), psi.shape)
-        min_psi = min(min_psi, float(psi[jmin]))
-
-        v = mesh.gap_nodes - mesh.H
-        top = model.h(mesh.x_nodes, v, v)
-        z_cols = -mesh.H + mesh.eta_nodes[None, :] * mesh.gap_nodes[[0, -1], None]
-        lat = model.h(mesh.x_nodes[[0, -1], None], z_cols, v[[0, -1], None])
-        datum = model.frak_h(mesh.x_nodes, v)
-        lows += [float(np.min(top)), float(np.min(lat)), float(np.min(datum))]
-        highs += [float(np.max(top)), float(np.max(lat)), float(np.max(datum))]
-
-    mask = field.coincidence.contact_mask
-    if np.any(mask):
-        xc = profile.x_nodes[mask]
-        hc = model.h(xc, -profile.H, -profile.H)
-        min_psi = min(min_psi, float(np.min(hc)))
-        max_psi = max(max_psi, float(np.max(hc)))
-        lows.append(float(np.min(hc)))
-        highs.append(float(np.max(hc)))
-        dc = model.frak_h(xc, -profile.H)
-        lows.append(float(np.min(dc)))
-        highs.append(float(np.max(dc)))
-
-    lower = min(lows)
-    upper = max(highs)
-    tol = 1e-6 * abs(model.V)
-    ok = (min_psi >= lower - tol) and (max_psi <= upper + tol)
-    return MaxPrincipleReport(
-        min_psi=min_psi,
-        max_psi=max_psi,
-        lower_bound=lower,
-        upper_bound=upper,
-        ok=bool(ok),
-        tol=tol,
-        worst=worst,
-    )

@@ -5,6 +5,8 @@ import importlib
 import numpy as np
 import pytest
 
+from beamgap.energy import electrostatic_energy
+from beamgap.force import compute_force
 from beamgap.geometry import DeflectionProfile
 from beamgap.model import compute_constants, make_example_model
 from beamgap.oracles import simpson_weights
@@ -64,6 +66,18 @@ def mms_l2_error(n_cells: int) -> float:
     wx = simpson_weights(mesh.x_nodes.size, mesh.dx)
     we = simpson_weights(mesh.eta_nodes.size, mesh.deta)
     return float(np.sqrt(wx @ (err**2) @ we))
+
+
+def fd_quotients(profile, theta, model, steps, n_eta):
+    """Quotients [E_e(u + s theta) - E_e(u)] / s, one per step, and the pairing int g(u) theta by the trapezoid rule.
+
+    Averaging the quotients of s and -s gives the central difference.
+    """
+    field = solve_potential(profile, model, n_eta=n_eta)
+    base = electrostatic_energy(profile, model, field=field).total
+    pairing = float(np.trapezoid(compute_force(profile, model, field).g * theta, profile.x_nodes))
+    shifted = [electrostatic_energy(profile.with_values(profile.u + s * theta), model, n_eta=n_eta) for s in steps]
+    return (np.array([e.total for e in shifted]) - base) / np.array(steps), pairing
 
 
 def count_solves(monkeypatch, modules: tuple[str, ...]) -> list:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import subprocess
 import sys
 
@@ -75,16 +76,36 @@ def test_unknown_sigma_kind_rejected(tmp_path):
         {"minimize": {"max_iters": -1}},
         {"minimize": {"max_iters": "ten"}},
         {"minimize": {"tol_stationarity": -1.0}},
+        {"dielectric": {"V": math.nan}},
+        {"dielectric": {"V": True}},
+        {"dielectric": {"K": math.inf}},
+        {"geometry": {"L": math.nan}},
+        {"material": {"beta": math.nan}},
+        {"dielectric": {"sigma": {"kind": "constant", "value": math.nan}}},
+        {"dielectric": {"sigma": {"kind": "polynomial", "coeffs": [1.0, math.nan]}}},
+        {"dielectric": {"sigma": {"kind": "tabulated", "x": [-1.0, 0.0, 0.5, 1.0], "values": [1.0, math.inf, 1, 1]}}},
+        {"dielectric": {"sigma": {"kind": "constant"}}},
+        {"dielectric": {"sigma": {"kind": "polynomial"}}},
+        {"dielectric": {"sigma": {"kind": "tabulated"}}},
+        {"dielectric": {"sigma": {"kind": "tabulated", "x": [-1.0, 0.0, 0.5, 1.0]}}},
+        {"dielectric": {"sigma": {"kind": "tabulated", "path": "no_such_table.csv"}}},
+        {"dielectric": {"sigma": {"kind": "tabulated", "path": "one_column.csv"}}},
     ],
-    ids=["grid0", "grid1", "grid2", "gap_threshold", "k_below_H", "max_iters_negative", "max_iters_str", "tol_negative"],
+    ids=[
+        "grid0", "grid1", "grid2", "gap_threshold", "k_below_H", "max_iters_negative", "max_iters_str", "tol_negative",
+        "V_nan", "V_bool", "K_inf", "L_nan", "beta_nan", "sigma_value_nan", "sigma_coeffs_nan", "sigma_values_inf",
+        "sigma_no_value", "sigma_no_coeffs", "table_no_data", "table_x_only", "table_missing_file", "table_one_column",
+    ],
 )
 def test_invalid_grid_rejected_before_any_solve(tmp_path, monkeypatch, payload):
-    """Invalid grid and descent settings exit 2 before any solve and write nothing."""
+    """Invalid grid, number, sigma and descent settings exit 2 before any solve and write nothing."""
 
     def no_solve(*args, **kwargs):
         raise AssertionError("an invalid config must be rejected before any solve")
 
     monkeypatch.setattr(cli, "minimize", no_solve)
+    monkeypatch.chdir(tmp_path)  # a table path is read relative to the working directory
+    (tmp_path / "one_column.csv").write_text("-1.0\n0.0\n0.5\n1.0\n", encoding="utf-8")
     path = write_config(tmp_path, payload)
     with pytest.raises(cli.ConfigError):
         cli.load_config(path)

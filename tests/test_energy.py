@@ -8,7 +8,6 @@ from conftest import mms_setup
 
 from beamgap.energy import (
     _contact_boundary_term,
-    coercivity_offset,
     electrostatic_energy,
     mechanical_energy,
     total_energy,
@@ -200,9 +199,13 @@ def test_penalty_matches_scipy_quadrature(unit_model, unit_constants):
 
 
 def test_penalized_energy_coercivity_bound(unit_model, unit_constants):
-    """E_k(u) >= (beta/4)||u''||^2 - c(k) along a growing ray, k = 1."""
+    """E_k(u) >= (beta/4)||u''||^2 - c(k) along a growing ray, k = 1.
+
+    c(k) = 2 |D| [(1 + sigma_bar) K^2 + k^2 A / 8], with |D| = 2L.
+    """
     k = 1.0
-    offset = coercivity_offset(unit_model, unit_constants, k)
+    K, two_l = unit_model.K, 2.0 * unit_constants.L
+    offset = 2.0 * two_l * ((1.0 + unit_model.sigma_bar) * K**2 + k**2 * unit_constants.A / 8.0)
     assert offset == pytest.approx(20.0, abs=1e-12)
     for n in range(1, 11):
         p = bump(64, amp=float(n))
