@@ -44,7 +44,6 @@ from .model import (
 from .oracles import (
     AnalyticDeflection,
     identity_check_mapped,
-    identity_check_rect,
     inequality_battery,
     solve_beam_oracle,
 )
@@ -417,12 +416,14 @@ def run_verification(cfg: dict) -> dict:
     geo = cfg["geometry"]
     L, H = float(geo["L"]), float(geo["H"])
 
-    rect = {f"n{n}": identity_check_rect(1.0, n_cells=n) for n in (64, 128, 256)}
-    rect_var = identity_check_rect(lambda xx: 1.5 + 0.4 * np.sin(xx), n_cells=256)
+    # the rectangle identity is the mapped one on the flat unit strip
+    unit = AnalyticDeflection.flat(1.0, 1.0)
+    rect = {f"n{n}": identity_check_mapped(unit, 1.0, n_cells=n) for n in (64, 128, 256)}
+    rect_var = identity_check_mapped(unit, lambda xx: 1.5 + 0.4 * np.sin(xx), n_cells=256)
     rect_ratio = rect["n64"] / rect["n128"] if rect["n128"] > 0.0 else float("inf")
 
-    # constant-mu mapped case (flat deflection) carries the absolute check;
-    # the bump drives mu through the graph map and carries the order check
+    # on the config's strip the lifted flat deflection carries the absolute
+    # check and the bump, whose curvature enters every map term, the order check
     flat = AnalyticDeflection.flat(L, H, 0.3 * H)
     bump = AnalyticDeflection.bump(L, H, 0.5 * H)
     mapped = {f"n{n}": identity_check_mapped(bump, sigma=1.0, n_cells=n) for n in (64, 128, 256)}
@@ -470,8 +471,8 @@ def run_verification(cfg: dict) -> dict:
 
     checks = {
         "rect_identity_small": rect["n256"] <= 1e-8,
-        # variable mu runs through finite differences of 1/mu, which caps
-        # the attainable accuracy, hence the looser threshold
+        # variable sigma runs through finite differences of 1/(sigma gamma),
+        # which caps the attainable accuracy, hence the looser threshold
         "rect_identity_variable_mu": rect_var <= 1e-6,
         "rect_identity_order": 12.8 <= rect_ratio <= 19.2,
         "mapped_identity_small": mapped_flat <= 1e-8,

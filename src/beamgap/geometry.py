@@ -21,6 +21,7 @@ value. Every beam difference that reaches a wall is taken on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,10 @@ class DeflectionProfile:
             raise ValueError("x_nodes must be uniformly spaced")
         if self.bc_mode not in ("clamped", "pinned"):
             raise ValueError(f"bc_mode must be 'clamped' or 'pinned', got {self.bc_mode!r}")
-        if self.H <= 0.0:
-            raise ValueError(f"H must be positive, got {self.H}")
+        if not (math.isfinite(self.H) and self.H > 0.0):
+            raise ValueError(f"H must be finite and positive, got {self.H}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("u must be finite")
         if u[0] != 0.0 or u[-1] != 0.0:
             raise ValueError("u must vanish at both endpoints")
         if np.any(u < -self.H):

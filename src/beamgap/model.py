@@ -18,6 +18,7 @@ sampled quantity is the data bound K (``estimate_K``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -50,7 +51,7 @@ class SigmaProfile:
     All three callables are vectorized over numpy arrays. ``domain`` is the
     x-interval on which the profile is meant to be evaluated; the minimum of
     sigma and the C2-norm bound sigma_bar are sampled over it, and a profile
-    that is not positive there is rejected on construction.
+    that is not finite and positive there is rejected on construction.
     """
 
     value: ArrayFunc
@@ -59,16 +60,19 @@ class SigmaProfile:
     domain: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self) -> None:
-        smin, _ = self.c2_scan()
-        if smin <= 0.0:
-            raise ValueError(f"sigma must stay positive on the domain, sampled min {smin}")
+        smin, sbar = self.c2_scan()
+        if not (math.isfinite(smin) and smin > 0.0 and math.isfinite(sbar)):
+            raise ValueError(f"sigma must stay finite and positive on the domain, sampled min {smin}, bound {sbar}")
 
     def c2_scan(self) -> tuple[float, float]:
         """Return (min sigma, max over derivatives of sup |sigma^(j)|) on the domain."""
         x = np.linspace(self.domain[0], self.domain[1], 2001)
-        s = np.asarray(self.value(x), dtype=float)
-        s1 = np.asarray(self.d1(x), dtype=float)
-        s2 = np.asarray(self.d2(x), dtype=float)
+        # non-finite data (an infinite coefficient, say) yields NaN or inf
+        # samples here, which construction then rejects as non-finite
+        with np.errstate(invalid="ignore", over="ignore"):
+            s = np.asarray(self.value(x), dtype=float)
+            s1 = np.asarray(self.d1(x), dtype=float)
+            s2 = np.asarray(self.d2(x), dtype=float)
         smin = float(np.min(s))
         sbar = float(max(np.max(np.abs(s)), np.max(np.abs(s1)), np.max(np.abs(s2))))
         return smin, sbar
@@ -187,17 +191,17 @@ def make_example_model(
 
     Parameters
     ----------
-    V : applied voltage, must be nonnegative.
+    V : applied voltage, must be finite and nonnegative.
     sigma : permittivity profile, or a positive number for a constant one.
-    H : gap height at rest, must be positive.
+    H : gap height at rest, must be finite and positive.
     K : working data bound. When omitted it is estimated over the default
         sample box (x over sigma's domain, z and w in [-H, 4H]), except at
         V = 0, where every sampled bound vanishes and K defaults to 1.
     """
-    if V < 0.0:
-        raise ValueError(f"V must be nonnegative, got {V}")
-    if H <= 0.0:
-        raise ValueError(f"H must be positive, got {H}")
+    if not (math.isfinite(V) and V >= 0.0):
+        raise ValueError(f"V must be finite and nonnegative, got {V}")
+    if not (math.isfinite(H) and H > 0.0):
+        raise ValueError(f"H must be finite and positive, got {H}")
     if isinstance(sigma, (int, float)):
         sigma = sigma_polynomial([float(sigma)])
     _, sbar = sigma.c2_scan()
@@ -242,8 +246,8 @@ def make_example_model(
     )
     if K is None:
         K = estimate_K(model, default_sample_box(L=max(abs(d) for d in sigma.domain), H=Hf)) if Vf > 0.0 else 1.0
-    if K <= 0.0:
-        raise ValueError(f"K must be positive, got {K}")
+    if not (math.isfinite(K) and K > 0.0):
+        raise ValueError(f"K must be finite and positive, got {K}")
     return replace(model, K=float(K))
 
 
@@ -300,35 +304,16 @@ def estimate_K(model: DielectricModel, box: SampleBox) -> float:
 # ---------------------------------------------------------------- constants
 
 
-def _q_norm(H: float, tol: float = 1e-10) -> float:
-    """Sup of |Q| on [0, 1] for Q(y) = y^2 (y^2 + 2(H-1) y + 1 - 3H).
+def _q_norm(H: float) -> float:
+    """Sup of |Q| on [0, 1] for the quartic Q(y) = y^2 (y^2 + 2(H-1) y + 1 - 3H).
 
-    Dense scan followed by golden-section refinement around the scan argmax.
+    The sup is attained at an end of [0, 1] or at a real root of Q' inside
+    it. The real parts of all roots of Q', clipped to [0, 1], contain those
+    roots, and |Q| at any point of [0, 1] is at most the sup.
     """
-    y = np.linspace(0.0, 1.0, 4001)
-    q = np.abs(y**2 * (y**2 + 2.0 * (H - 1.0) * y + 1.0 - 3.0 * H))
-    j = int(np.argmax(q))
-    lo = y[max(j - 1, 0)]
-    hi = y[min(j + 1, y.size - 1)]
-
-    def f(t: float) -> float:
-        return -abs(t**2 * (t**2 + 2.0 * (H - 1.0) * t + 1.0 - 3.0 * H))
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return float(max(-f(0.5 * (a + b)), q[j]))
+    Q = np.polynomial.Polynomial([0.0, 0.0, 1.0 - 3.0 * H, 2.0 * (H - 1.0), 1.0])
+    y = np.concatenate(([0.0, 1.0], np.clip(Q.deriv().roots().real, 0.0, 1.0)))
+    return float(np.max(np.abs(Q(y))))
 
 
 def compute_constants(
@@ -354,12 +339,12 @@ def compute_constants(
     analysis is carried out for the clamped comparison problems; both boundary
     modes use the same bound.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if tau < 0.0 or alpha < 0.0:
-        raise ValueError(f"tau and alpha must be nonnegative, got {tau}, {alpha}")
-    if L <= 0.0 or H <= 0.0:
-        raise ValueError(f"L and H must be positive, got {L}, {H}")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be finite and positive, got {beta}")
+    if not all(math.isfinite(t) and t >= 0.0 for t in (tau, alpha)):
+        raise ValueError(f"tau and alpha must be finite and nonnegative, got {tau}, {alpha}")
+    if not all(math.isfinite(t) and t > 0.0 for t in (L, H)):
+        raise ValueError(f"L and H must be finite and positive, got {L}, {H}")
     if bc_mode not in ("clamped", "pinned"):
         raise ValueError(f"bc_mode must be 'clamped' or 'pinned', got {bc_mode!r}")
 

@@ -6,9 +6,10 @@ solvers:
 * a closed-form fourth-order beam boundary-value problem with per-case
   touchdown boundary conditions, used to validate the a-priori sup bound on
   minimizers;
-* two integration-by-parts identities (on the reference rectangle and on a
-  deflected strip) evaluated with manufactured Robin-compatible functions,
-  used to validate the mapped quadrature;
+* the integration-by-parts identity on a deflected strip, evaluated with
+  manufactured Robin-compatible functions for constant or variable sigma,
+  used to validate the mapped quadrature; on a flat unit strip it is the
+  identity of the reference rectangle;
 * a battery of Poincare, Sobolev-interpolation, and trace inequalities
   evaluated on random separable families, used to validate the functional
   estimates the energy bounds rest on.
@@ -17,7 +18,7 @@ solvers:
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "BeamOracleSolution",
     "solve_beam_oracle",
     "AnalyticDeflection",
-    "identity_check_rect",
     "identity_check_mapped",
     "BatterySample",
     "BatteryResult",
@@ -120,17 +120,13 @@ class BeamOracleSolution:
             return w**3 * (c2 * sh + c3 * ch)
         return w**4 * (c2 * ch + c3 * sh)
 
+    def _end_values(self) -> np.ndarray:
+        """(S(a), S'(a), S(b), S'(b)), the quantities the end conditions fix."""
+        return np.array([self.evaluate(self.a), self.evaluate(self.a, 1), self.evaluate(self.b), self.evaluate(self.b, 1)])
+
     def bc_residuals(self) -> np.ndarray:
         """Absolute defects of the four imposed end conditions."""
-        ta, tda, tb, tdb = _case_targets(self.case, self.H)
-        return np.abs(
-            [
-                float(self.evaluate(self.a)) - ta,
-                float(self.evaluate(self.a, 1)) - tda,
-                float(self.evaluate(self.b)) - tb,
-                float(self.evaluate(self.b, 1)) - tdb,
-            ]
-        )
+        return np.abs(self._end_values() - np.array(_case_targets(self.case, self.H)))
 
     def ode_residual(self, n: int = 201) -> float:
         """max |beta S'''' - tau S'' - G0| on an n-point grid."""
@@ -160,8 +156,11 @@ def solve_beam_oracle(
 ) -> BeamOracleSolution:
     """Solve beta S'''' - tau S'' = G0 with the end conditions of one case.
 
-    The 4x4 boundary system is assembled in the midpoint-shifted coordinate
-    (so the hyperbolic basis stays well-conditioned) and solved densely.
+    Column k of the 4x4 boundary system holds the end values of the unloaded
+    solution with coefficient vector e_k; the right side is the targets less
+    the end values of the loaded zero-coefficient solution. Both come from
+    ``BeamOracleSolution.evaluate``, whose midpoint-shifted coordinate keeps
+    the hyperbolic basis well-conditioned, and the system is solved densely.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -169,42 +168,17 @@ def solve_beam_oracle(
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if not a < b:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
-    ta, tda, tb, tdb = _case_targets(case, H)
-
-    half = 0.5 * (b - a)
-    Xa, Xb = -half, half
-    if tau == 0.0:
-        omega = 0.0
-        q = G0 / beta
-
-        def val_row(X):
-            return [1.0, X, X**2, X**3]
-
-        def der_row(X):
-            return [0.0, 1.0, 2.0 * X, 3.0 * X**2]
-
-        part = [q * Xa**4 / 24.0, q * Xa**3 / 6.0, q * Xb**4 / 24.0, q * Xb**3 / 6.0]
-    else:
-        omega = float(np.sqrt(tau / beta))
-
-        def val_row(X):
-            return [1.0, X, np.cosh(omega * X), np.sinh(omega * X)]
-
-        def der_row(X):
-            return [0.0, 1.0, omega * np.sinh(omega * X), omega * np.cosh(omega * X)]
-
-        part = [-G0 * Xa**2 / (2.0 * tau), -G0 * Xa / tau, -G0 * Xb**2 / (2.0 * tau), -G0 * Xb / tau]
-
-    A = np.array([val_row(Xa), der_row(Xa), val_row(Xb), der_row(Xb)], dtype=float)
-    rhs = np.array([ta, tda, tb, tdb], dtype=float) - np.array(part)
+    targets = np.array(_case_targets(case, H))
+    loaded = BeamOracleSolution(
+        case=case, a=float(a), b=float(b), G0=float(G0), beta=float(beta), tau=float(tau),
+        H=float(H), coefficients=np.zeros(4), omega=float(np.sqrt(tau / beta)),
+    )
+    A = np.column_stack([replace(loaded, G0=0.0, coefficients=e)._end_values() for e in np.eye(4)])
     try:
-        coeffs = np.linalg.solve(A, rhs)
+        coeffs = np.linalg.solve(A, targets - loaded._end_values())
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"boundary system singular for interval ({a}, {b})") from exc
-    return BeamOracleSolution(
-        case=case, a=float(a), b=float(b), G0=float(G0), beta=float(beta), tau=float(tau),
-        H=float(H), coefficients=coeffs, omega=omega,
-    )
+    return replace(loaded, coefficients=coeffs)
 
 
 # ------------------------------------------------------ analytic deflections
@@ -264,6 +238,18 @@ class AnalyticDeflection:
 # ------------------------------------------------------- manufactured family
 
 
+def _strip_grids(deflection: AnalyticDeflection, n_cells: int):
+    """Tensor nodes (x, eta) of the strip, its gap, and Simpson weights per axis."""
+    x = np.linspace(-deflection.L, deflection.L, n_cells + 1)
+    eta = np.linspace(0.0, 1.0, n_cells + 1)
+    gam = deflection.gap(x)
+    if np.any(gam <= 0.0):
+        raise ValueError("deflection closes the gap on the interval")
+    wx = simpson_weights(x.size, x[1] - x[0])
+    we = simpson_weights(eta.size, eta[1] - eta[0])
+    return x, eta, gam, wx, we
+
+
 def _family_pieces(eta: np.ndarray, c: np.ndarray):
     """Vertical factor Z(eta; c) = (1-eta)(eta+c) e^(eta-1) and its derivatives.
 
@@ -284,134 +270,59 @@ def _family_pieces(eta: np.ndarray, c: np.ndarray):
     return Z, Z_e, Z_ee, Z_c, Z_ce
 
 
-def _sine_pieces(x: np.ndarray, a: float, b: float, mode_k: int):
-    freq = mode_k * np.pi / (b - a)
-    s = np.sin(freq * (x - a))
-    return s, freq * np.cos(freq * (x - a)), -(freq**2) * s
-
-
-def identity_check_rect(
-    mu: float | Callable[[np.ndarray], np.ndarray],
-    n_cells: int = 64,
-    interval: tuple[float, float] = (-1.0, 1.0),
-    mode_k: int = 1,
-) -> float:
-    """Quadrature residual of the rectangle integration-by-parts identity.
-
-    For the built-in family phi = sin(k pi (x-a)/(b-a)) Z(eta; 1/mu(x)) --
-    which vanishes on the sides and top and satisfies the Robin condition
-    d_eta phi = mu phi on the bottom edge exactly, for constant or variable
-    positive mu -- evaluates
-
-        |int d_x^2 phi d_eta^2 phi - int |d_x d_eta phi|^2
-             - int d_x phi d_x(mu phi)(., 0)|
-
-    by tensor Simpson quadrature on an n_cells^2 grid. The exact value is 0,
-    so the return decays at the quadrature order under refinement. A
-    variable mu enters through centered finite differences of 1/mu.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError(f"interval must satisfy a < b, got {interval}")
-    if n_cells < 2 or n_cells % 2 != 0:
-        raise ValueError(f"n_cells must be even and at least 2, got {n_cells}")
-
-    x = np.linspace(a, b, n_cells + 1)
-    eta = np.linspace(0.0, 1.0, n_cells + 1)
-
-    if callable(mu):
-        mu_x = np.asarray(mu(x), dtype=float)
-        # Central differences for c = 1/mu. The step balances truncation
-        # against round-off in the second difference (~eps / step^2), which
-        # caps the accuracy of the variable-mu check near 1e-7.
-        step = 1e-4 * (b - a)
-        c = 1.0 / mu_x
-        c_p = (1.0 / np.asarray(mu(x + step), dtype=float) - 1.0 / np.asarray(mu(x - step), dtype=float)) / (
-            2.0 * step
-        )
-        c_pp = (
-            1.0 / np.asarray(mu(x + step), dtype=float)
-            - 2.0 * c
-            + 1.0 / np.asarray(mu(x - step), dtype=float)
-        ) / step**2
-    else:
-        mu_x = np.full_like(x, float(mu))
-        c = 1.0 / mu_x
-        c_p = np.zeros_like(x)
-        c_pp = np.zeros_like(x)
-    if np.any(mu_x <= 0.0):
-        raise ValueError("mu must be positive on the interval")
-
-    s, s_p, s_pp = _sine_pieces(x, a, b, mode_k)
-    E = eta[None, :]
-    C = c[:, None]
-    Z, Z_e, Z_ee, Z_c, Z_ce = _family_pieces(E, C)
-
-    phi_xx = s_pp[:, None] * Z + 2.0 * s_p[:, None] * c_p[:, None] * Z_c + s[:, None] * c_pp[:, None] * Z_c
-    phi_ee = s[:, None] * Z_ee
-    phi_xe = s_p[:, None] * Z_e + s[:, None] * c_p[:, None] * Z_ce
-
-    wx = simpson_weights(x.size, x[1] - x[0])
-    we = simpson_weights(eta.size, eta[1] - eta[0])
-    lhs = float(wx @ (phi_xx * phi_ee) @ we)
-    mixed = float(wx @ (phi_xe**2) @ we)
-
-    # bottom edge: phi(x,0) = s c / e, d_x phi(x,0) = (s' c + s c') / e, and
-    # mu phi(x,0) = s / e identically (mu c = 1), so d_x(mu phi)(x,0) = s' / e
-    inv_e = float(np.exp(-1.0))
-    bottom = float(np.sum(wx * (s_p * c + s * c_p) * s_p)) * inv_e**2
-
-    return abs(lhs - mixed - bottom)
-
-
 def identity_check_mapped(
     deflection: AnalyticDeflection,
-    sigma: float,
+    sigma: float | Callable[[np.ndarray], np.ndarray],
     n_cells: int = 64,
-    mode_k: int = 1,
 ) -> float:
     """Quadrature residual of the deflected-strip integration-by-parts identity.
 
-    The test function zeta(x, z) = phi(x, (H+z)/(H+v(x))) is the rectangle
-    family pushed through the graph map with mu(x) = sigma (H + v(x)), so it
+    The test function zeta(x, z) = phi(x, (H+z)/(H+v(x))) is built from
+    phi = sin(pi (x+L)/(2L)) Z(eta; c(x)) with c = 1/(sigma (H+v)), so it
     vanishes on the graph and the sides and satisfies d_z zeta = sigma zeta
-    on the bottom exactly. The identity
+    on the bottom exactly, for constant or variable positive sigma. The
+    identity
 
         int zeta_xx zeta_zz = int |zeta_xz|^2
             + int zeta_x d_x(sigma zeta)(., -H) - 1/2 int v'' |zeta_z(., v)|^2
 
     (volume integrals over the strip, line integrals over the bottom and the
     graph) is evaluated by mapped tensor Simpson quadrature; the return is
-    the absolute defect and decays under refinement.
+    the absolute defect and decays at the quadrature order under refinement.
+    On the flat unit strip (v = 0, H = 1, L = 1) every map term vanishes and
+    this is the identity of the reference rectangle with Robin coefficient
+    sigma. A variable sigma enters through centered finite differences of c.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if n_cells < 2 or n_cells % 2 != 0:
-        raise ValueError(f"n_cells must be even and at least 2, got {n_cells}")
     a, b = -deflection.L, deflection.L
-    x = np.linspace(a, b, n_cells + 1)
-    eta = np.linspace(0.0, 1.0, n_cells + 1)
-
-    gam = deflection.gap(x)
-    if np.any(gam <= 0.0):
-        raise ValueError("deflection closes the gap on the interval")
+    x, eta, gam, wx, we = _strip_grids(deflection, n_cells)
     vp = deflection.dv(x)
     vpp = deflection.d2v(x)
+    sig = np.asarray(sigma(x), dtype=float) if callable(sigma) else np.full_like(x, float(sigma))
+    if np.any(sig <= 0.0):
+        raise ValueError("sigma must be positive on the interval")
 
-    # c(x) = 1/(sigma gamma) with analytic derivatives
-    c = 1.0 / (sigma * gam)
-    c_p = -vp / (sigma * gam**2)
-    c_pp = -vpp / (sigma * gam**2) + 2.0 * vp**2 / (sigma * gam**3)
+    c = 1.0 / (sig * gam)
+    if callable(sigma):
+        # The step balances truncation against round-off in the second
+        # difference (~eps / step^2), which caps the accuracy of the
+        # variable-sigma check near 1e-7.
+        step = 1e-4 * (b - a)
+        c_plus = 1.0 / (np.asarray(sigma(x + step), dtype=float) * deflection.gap(x + step))
+        c_minus = 1.0 / (np.asarray(sigma(x - step), dtype=float) * deflection.gap(x - step))
+        c_p = (c_plus - c_minus) / (2.0 * step)
+        c_pp = (c_plus - 2.0 * c + c_minus) / step**2
+    else:
+        c_p = -vp / (sig * gam**2)
+        c_pp = -vpp / (sig * gam**2) + 2.0 * vp**2 / (sig * gam**3)
 
-    s, s_p, s_pp = _sine_pieces(x, a, b, mode_k)
+    freq = np.pi / (b - a)
+    s = np.sin(freq * (x - a))
+    s_p, s_pp = freq * np.cos(freq * (x - a)), -(freq**2) * s
     E = eta[None, :]
-    C = c[:, None]
-    Z, Z_e, Z_ee, Z_c, Z_ce = _family_pieces(E, C)
+    Z, Z_e, Z_ee, Z_c, Z_ce = _family_pieces(E, c[:, None])
 
     S, Sp, Spp = s[:, None], s_p[:, None], s_pp[:, None]
     Cp, Cpp = c_p[:, None], c_pp[:, None]
-    phi = S * Z
-    phi_x = Sp * Z + S * Cp * Z_c
     phi_e = S * Z_e
     phi_xx = Spp * Z + 2.0 * Sp * Cp * Z_c + S * Cpp * Z_c
     phi_xe = Sp * Z_e + S * Cp * Z_ce
@@ -427,15 +338,14 @@ def identity_check_mapped(
     zeta_xz = (phi_xe + phi_ee * eta_x) / G - phi_e * VP / G**2
     zeta_xx = phi_xx + 2.0 * phi_xe * eta_x + phi_ee * eta_x**2 + phi_e * eta_xx
 
-    wx = simpson_weights(x.size, x[1] - x[0])
-    we = simpson_weights(eta.size, eta[1] - eta[0])
     # volume element dz = gamma d eta
     lhs = float(wx @ (zeta_xx * zeta_zz * G) @ we)
     mixed = float(wx @ (zeta_xz**2 * G) @ we)
 
-    # bottom edge eta = 0: eta_x vanishes there, so zeta_x = phi_x(., 0)
-    zeta_x_bot = (s_p * c + s * c_p) * float(np.exp(-1.0))
-    bottom = float(np.sum(wx * sigma * zeta_x_bot**2))
+    # bottom edge eta = 0, where eta_x vanishes: zeta_x = (s' c + s c') / e,
+    # and sigma zeta = s / (gamma e) identically (sigma c gamma = 1)
+    inv_e = float(np.exp(-1.0))
+    bottom = float(np.sum(wx * (s_p * c + s * c_p) * (s_p / gam - s * vp / gam**2))) * inv_e**2
 
     # graph edge eta = 1: zeta_z = phi_e(., 1)/gamma with Z_e(1) = -(1+c)
     zeta_z_top = s * (-(1.0 + c)) / gam
@@ -466,19 +376,6 @@ class BatteryResult:
     worst_margins: dict[str, float]
     violations: list[str]
     n_samples: int
-    M: float
-    M_v: float
-
-
-def _strip_grids(deflection: AnalyticDeflection, n_cells: int):
-    x = np.linspace(-deflection.L, deflection.L, n_cells + 1)
-    eta = np.linspace(0.0, 1.0, n_cells + 1)
-    gam = deflection.gap(x)
-    if np.any(gam <= 0.0):
-        raise ValueError("deflection closes the gap on the interval")
-    wx = simpson_weights(x.size, x[1] - x[0])
-    we = simpson_weights(eta.size, eta[1] - eta[0])
-    return x, eta, gam, wx, we
 
 
 def battery_margins(
@@ -553,19 +450,28 @@ def battery_margins(
     return margins
 
 
-def _ws_sample(coeffs: np.ndarray, a: float, b: float) -> BatterySample:
-    """sin(m pi (x-a)/(2(b-a))) sin(n pi eta / 2) combinations; zero at x=a, eta=0."""
-    modes = coeffs.shape[0]
+# modes per axis of the random separable samples
+_MODES = 3
 
-    def build(fn_x, fn_e):
+
+def _separable(coeffs: np.ndarray, fn_x, dfn_x, fn_e, dfn_e) -> BatterySample:
+    """sum_{m,n} coeffs[m-1, n-1] fn_x(m, x) fn_e(n, eta) and its two partials."""
+
+    def build(bx, be):
         def f(X, E):
             out = 0.0
-            for m in range(1, modes + 1):
-                for n in range(1, modes + 1):
-                    out = out + coeffs[m - 1, n - 1] * fn_x(m, X) * fn_e(n, E)
+            for m in range(1, _MODES + 1):
+                for n in range(1, _MODES + 1):
+                    out = out + coeffs[m - 1, n - 1] * bx(m, X) * be(n, E)
             return out
 
         return f
+
+    return BatterySample(q=build(fn_x, fn_e), q_x=build(dfn_x, fn_e), q_eta=build(fn_x, dfn_e))
+
+
+def _ws_sample(coeffs: np.ndarray, a: float, b: float) -> BatterySample:
+    """sin(m pi (x-a)/(2(b-a))) sin(n pi eta / 2) combinations; zero at x=a, eta=0."""
 
     def sx(m, X):
         return np.sin(m * np.pi * (X - a) / (2.0 * (b - a)))
@@ -580,12 +486,11 @@ def _ws_sample(coeffs: np.ndarray, a: float, b: float) -> BatterySample:
     def dse(n, E):
         return (n * np.pi / 2.0) * np.cos(n * np.pi * E / 2.0)
 
-    return BatterySample(q=build(sx, se), q_x=build(dsx, se), q_eta=build(sx, dse))
+    return _separable(coeffs, sx, dsx, se, dse)
 
 
 def _b_sample(coeffs: np.ndarray, a: float, b: float) -> BatterySample:
     """sin(m pi (x-a)/(b-a)) (1-eta) eta^(n-1) combinations; zero at sides, eta=1."""
-    modes = coeffs.shape[0]
 
     def sx(m, X):
         return np.sin(m * np.pi * (X - a) / (b - a))
@@ -602,24 +507,13 @@ def _b_sample(coeffs: np.ndarray, a: float, b: float) -> BatterySample:
             return -np.ones_like(E)
         return (n - 1) * E ** (n - 2) - n * E ** (n - 1)
 
-    def build(fn_x, fn_e):
-        def f(X, E):
-            out = 0.0
-            for m in range(1, modes + 1):
-                for n in range(1, modes + 1):
-                    out = out + coeffs[m - 1, n - 1] * fn_x(m, X) * fn_e(n, E)
-            return out
-
-        return f
-
-    return BatterySample(q=build(sx, pe), q_x=build(dsx, pe), q_eta=build(sx, dpe))
+    return _separable(coeffs, sx, dsx, pe, dpe)
 
 
 def inequality_battery(
     deflection: AnalyticDeflection,
     n_samples: int = 50,
     r_values: tuple[int, ...] = (2, 4, 8),
-    modes: int = 3,
     n_cells: int = 64,
     seed: int = 0,
 ) -> BatteryResult:
@@ -635,13 +529,10 @@ def inequality_battery(
     a, bnd = -deflection.L, deflection.L
     worst: dict[str, float] = {}
     violations: list[str] = []
-    x, _, gam, _, _ = _strip_grids(deflection, n_cells)
-    M = max(1.0, float(np.max(gam)), float(np.max(np.abs(deflection.dv(x)))))
-    M_v = float(np.max(gam))
 
     for i in range(n_samples):
-        ws = _ws_sample(rng.normal(size=(modes, modes)), a, bnd)
-        bs = _b_sample(rng.normal(size=(modes, modes)), a, bnd)
+        ws = _ws_sample(rng.normal(size=(_MODES, _MODES)), a, bnd)
+        bs = _b_sample(rng.normal(size=(_MODES, _MODES)), a, bnd)
         margins = battery_margins(deflection, ws=ws, b=bs, r_values=r_values, n_cells=n_cells)
         for name, margin in margins.items():
             if name not in worst or margin < worst[name]:
@@ -649,4 +540,4 @@ def inequality_battery(
             if margin < -1e-8 * (1.0 + abs(margin)):
                 violations.append(f"sample {i}: {name} margin {margin:.3e}")
 
-    return BatteryResult(worst_margins=worst, violations=violations, n_samples=n_samples, M=M, M_v=M_v)
+    return BatteryResult(worst_margins=worst, violations=violations, n_samples=n_samples)

@@ -23,7 +23,6 @@ from beamgap.model import compute_constants, make_example_model
 from beamgap.oracles import (
     AnalyticDeflection,
     identity_check_mapped,
-    identity_check_rect,
     inequality_battery,
     solve_beam_oracle,
 )
@@ -199,7 +198,8 @@ def test_criterion_08_bending_oracle():
 
 def test_criterion_09_integration_identities():
     t0 = time.perf_counter()
-    rect = {n: identity_check_rect(1.0, n_cells=n) for n in (64, 128, 256)}
+    unit = AnalyticDeflection.flat(1.0, 1.0)
+    rect = {n: identity_check_mapped(unit, 1.0, n_cells=n) for n in (64, 128, 256)}
     flat = AnalyticDeflection.flat(1.0, 1.0, 0.3)
     bump = AnalyticDeflection.bump(1.0, 1.0, 0.5)
     mapped_flat = identity_check_mapped(flat, sigma=1.0, n_cells=256)

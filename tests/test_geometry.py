@@ -98,6 +98,23 @@ def test_contact_components_count_the_contact_runs(f, runs):
     assert np.count_nonzero(np.diff(cs.contact_mask.astype(int)) == 1) == runs
 
 
+@pytest.mark.parametrize("lifted", [1, 2, 3, 4])
+def test_short_interior_runs_are_absorbed_into_contact(lifted):
+    """A band at -H on |x| <= 1/2 with `lifted` nodes raised off it from node 32:
+    a non-contact run spanning fewer than 3 cells becomes contact, a longer one
+    is its own component."""
+    x = np.linspace(-1.0, 1.0, 65)
+    u = np.where(np.abs(x) <= 0.5, -1.0, -0.5 * (1.0 - x**2))
+    u[32 : 32 + lifted] = -0.9
+    cs = detect_coincidence(DeflectionProfile(x_nodes=x, u=u, bc_mode="clamped", H=1.0))
+    if lifted <= 3:
+        assert np.all(cs.contact_mask[32 : 32 + lifted])
+        assert cs.components == ((0, 15), (49, 64))
+    else:
+        assert not np.any(cs.contact_mask[32:36])
+        assert cs.components == ((0, 15), (32, 35), (49, 64))
+
+
 def test_gap_threshold_scales_with_H():
     assert default_gap_threshold(1.0) == pytest.approx(1e-8)
     assert default_gap_threshold(2.0) == pytest.approx(2e-8)

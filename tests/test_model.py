@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from beamgap.geometry import DeflectionProfile
 from beamgap.model import (
+    _q_norm,
     compute_constants,
     default_sample_box,
     estimate_K,
@@ -59,6 +63,34 @@ def test_example_model_input_guards():
         make_example_model(V=-1.0, sigma=1.0, H=1.0)
     with pytest.raises(ValueError):
         make_example_model(V=1.0, sigma=1.0, H=-1.0)
+
+
+_X9 = np.linspace(-1.0, 1.0, 9)
+
+
+def _unit_model():
+    return make_example_model(V=1.0, sigma=1.0, H=1.0, K=1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DeflectionProfile(x_nodes=_X9, u=np.where(_X9 == 0.0, math.nan, 0.0), bc_mode="clamped", H=1.0),
+        lambda: DeflectionProfile(x_nodes=_X9, u=np.zeros(9), bc_mode="clamped", H=math.nan),
+        lambda: make_example_model(V=math.nan, sigma=1.0, H=1.0),
+        lambda: make_example_model(V=1.0, sigma=1.0, H=math.inf),
+        lambda: make_example_model(V=1.0, sigma=1.0, H=1.0, K=math.nan),
+        lambda: compute_constants(_unit_model(), beta=math.nan, tau=0.0, alpha=0.0, L=1.0, H=1.0),
+        lambda: compute_constants(_unit_model(), beta=1.0, tau=0.0, alpha=0.0, L=math.inf, H=1.0),
+        lambda: sigma_polynomial([math.nan]),
+        lambda: sigma_polynomial([1.0, math.inf]),
+    ],
+    ids=["profile_u_nan", "profile_H_nan", "V_nan", "H_inf", "K_nan", "beta_nan", "L_inf", "sigma_nan", "sigma_inf"],
+)
+def test_constructors_reject_non_finite_numbers(build):
+    """A range check written as a comparison lets NaN through; each must reject it."""
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_example_model_satisfies_robin_compatibility():
@@ -143,3 +175,11 @@ def test_kappa0_dominates_every_case_bound():
         assert const.kappa0 >= H
         assert const.kappa0 >= base - H
         assert const.kappa0 >= base
+
+
+@pytest.mark.parametrize("H", [0.01, 0.03, 0.5, 1.0, 3.0])
+def test_q_norm_matches_a_dense_scan(H):
+    """The closed form (ends and critical points of the quartic) against 10^6 samples."""
+    y = np.linspace(0.0, 1.0, 10**6 + 1)
+    scan = float(np.max(np.abs(y**2 * (y**2 + 2.0 * (H - 1.0) * y + 1.0 - 3.0 * H))))
+    assert _q_norm(H) == pytest.approx(scan, rel=1e-12, abs=0.0)

@@ -12,7 +12,6 @@ from beamgap.oracles import (
     BatterySample,
     battery_margins,
     identity_check_mapped,
-    identity_check_rect,
     inequality_battery,
     solve_beam_oracle,
 )
@@ -31,6 +30,8 @@ def test_canonical_bending_case():
     assert np.all(vals[1:-1] > 0.0)
     assert sol.sup_norm() <= sol.case_bound(1.0)
     assert sol.case_bound(1.0) == pytest.approx(384.0)
+    # S = (X^2 - 1)^2 = 1 - 2 X^2 + X^4, the X^4 term being the particular solution
+    np.testing.assert_allclose(sol.coefficients, [1.0, 0.0, -2.0, 0.0], atol=1e-12)
 
 
 def test_random_draws_satisfy_bc_and_ode():
@@ -88,21 +89,24 @@ def test_beam_oracle_guards():
 
 # ---------------------------------------------------------------- integration identities
 
+# the rectangle identity is the mapped one on the flat unit strip
+UNIT_STRIP = AnalyticDeflection.flat(1.0, 1.0)
+
 
 def test_rectangle_identity_constant_mu():
     for mu in (1.0, 2.0):
-        assert identity_check_rect(mu, n_cells=256) <= 1e-8
+        assert identity_check_mapped(UNIT_STRIP, mu, n_cells=256) <= 1e-8
 
 
 def test_rectangle_identity_quadrature_order():
-    res = [identity_check_rect(1.0, n_cells=n) for n in (64, 128, 256)]
+    res = [identity_check_mapped(UNIT_STRIP, 1.0, n_cells=n) for n in (64, 128, 256)]
     ratios = [res[0] / res[1], res[1] / res[2]]
     for ratio in ratios:
         assert 12.8 <= ratio <= 19.2, f"ratios {ratios}"
 
 
 def test_rectangle_identity_variable_mu():
-    res = identity_check_rect(lambda x: 1.5 + 0.4 * np.sin(x), n_cells=256)
+    res = identity_check_mapped(UNIT_STRIP, lambda x: 1.5 + 0.4 * np.sin(x), n_cells=256)
     assert res <= 1e-6
 
 
@@ -118,18 +122,19 @@ def test_mapped_identity_curved_strip_order():
     for ratio in ratios:
         assert 12.8 <= ratio <= 19.2, f"ratios {ratios}"
     assert res[2] <= 1e-6
+    # a variable sigma on the curved strip: the bottom term is zeta_x d_x(sigma zeta)
+    assert identity_check_mapped(bump, lambda x: 1.5 + 0.4 * np.sin(x), n_cells=256) <= 1e-6
 
 
 def test_identity_check_guards():
     with pytest.raises(ValueError):
-        identity_check_rect(1.0, n_cells=33)
+        identity_check_mapped(UNIT_STRIP, 1.0, n_cells=33)
     with pytest.raises(ValueError):
-        identity_check_rect(-1.0, n_cells=32)
+        identity_check_mapped(UNIT_STRIP, -1.0, n_cells=32)
     with pytest.raises(ValueError):
-        identity_check_rect(1.0, n_cells=32, interval=(1.0, -1.0))
-    flat = AnalyticDeflection.flat(1.0, 1.0, 0.0)
+        identity_check_mapped(UNIT_STRIP, lambda x: x, n_cells=32)
     with pytest.raises(ValueError):
-        identity_check_mapped(flat, sigma=0.0, n_cells=32)
+        identity_check_mapped(UNIT_STRIP, sigma=0.0, n_cells=32)
     closed = AnalyticDeflection(
         v=lambda x: np.full_like(np.asarray(x, dtype=float), -2.0),
         dv=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -215,7 +220,6 @@ def test_battery_sweep_has_no_violations():
     assert result.violations == []
     assert len(result.worst_margins) == 9
     assert result.n_samples == 10
-    assert result.M >= result.M_v > 0.0
 
 
 # ---------------------------------------------------------------- independence
